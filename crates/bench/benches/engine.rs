@@ -6,10 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpn_routing::hash::EcmpHasher;
 use hpn_routing::repac;
 use hpn_routing::{FiveTuple, HashMode, LinkHealth, RouteRequest, Router};
-use hpn_sim::{
-    AllocatorKind, Engine, FlowNet, FlowSpec, ParallelIncrementalMaxMin, SimDuration, SimTime,
-    SurrogateConfig, SurrogateMaxMin,
-};
+use hpn_sim::{AllocatorKind, Engine, FlowNet, FlowSpec, SimDuration, SimTime};
 use hpn_topology::HpnConfig;
 
 fn bench_flownet_recompute(c: &mut Criterion) {
@@ -46,7 +43,7 @@ fn bench_flownet_recompute(c: &mut Criterion) {
 /// bench. A training job's collective traffic churns many components at
 /// once (every rail of a restarted host changes together), so each bench
 /// "event" is a kill/start pair in `CHURN_BATCH` different pod groups
-/// followed by one recompute — giving component-partitioned allocators
+/// followed by one recompute — giving the component-scoped allocator
 /// several independent dirty components per solve.
 const CHURN_BATCH: usize = 8;
 
@@ -54,10 +51,9 @@ const CHURN_BATCH: usize = 8;
 /// of [`CHURN_BATCH`] distinct pods, then recompute, at 1K/4K/16K
 /// concurrent flows. Flows form bottleneck components of a few dozen
 /// (each crosses two links inside an 8-link pod group), the shape a
-/// training job's collective traffic takes — so component-partitioned
-/// allocators recompute only the dirty pods while the dense one re-solves
-/// the world, and the parallel allocator solves the dirty pods on worker
-/// threads. The per-event touched-flow counts print after each
+/// training job's collective traffic takes — so the incremental allocator
+/// recomputes only the dirty pods while the dense one re-solves the
+/// world. The per-event touched-flow counts print after each
 /// measurement for the EXPERIMENTS.md scope table, and the µs/event
 /// results land in `BENCH_alloc.json` (see [`write_alloc_tracking`]).
 fn bench_allocator_churn(c: &mut Criterion) {
@@ -67,27 +63,6 @@ fn bench_allocator_churn(c: &mut Criterion) {
         ("dense", || FlowNet::with_allocator(AllocatorKind::Dense)),
         ("incremental", || {
             FlowNet::with_allocator(AllocatorKind::Incremental)
-        }),
-        ("parallel1", || {
-            FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(1).min_component_flows(0),
-            ))
-        }),
-        ("parallel2", || {
-            FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(2).min_component_flows(0),
-            ))
-        }),
-        ("parallel4", || {
-            FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(4).min_component_flows(0),
-            ))
-        }),
-        ("surrogate", || {
-            FlowNet::with_allocator_box(Box::new(SurrogateMaxMin::with_config(SurrogateConfig {
-                validate_every: 64,
-                cache_cap: 4096,
-            })))
         }),
     ];
     let mut group = c.benchmark_group("allocator");
@@ -162,80 +137,69 @@ fn bench_allocator_churn(c: &mut Criterion) {
     // components (n/8 flows each, all-distinct demands). With 2048 flows
     // per component the exact progressive fill runs ~2048 freeze rounds
     // per recompute — the regime of a full collective's flows sharing one
-    // bottleneck set — so this is where a memoized solve should pay off,
-    // while the pod geometry above measures the bookkeeping-bound regime.
+    // bottleneck set — while the pod geometry above measures the
+    // bookkeeping-bound regime.
     const NCOMP: usize = 8;
     const COMP_LINKS: usize = 64;
-    let collective: &[(&str, MakeNet)] = &[
-        ("incremental_collective", || {
-            FlowNet::with_allocator(AllocatorKind::Incremental)
-        }),
-        ("surrogate_collective", || {
-            FlowNet::with_allocator_box(Box::new(SurrogateMaxMin::with_config(SurrogateConfig {
-                validate_every: 64,
-                cache_cap: 4096,
-            })))
-        }),
-    ];
-    for &(name, make_net) in collective {
-        {
-            let n = 16384usize;
-            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
-                let mut net = make_net();
-                let links: Vec<_> = (0..NCOMP * COMP_LINKS)
-                    .map(|_| net.add_link(4e12, 1e7))
-                    .collect();
-                // Slot i lives in component (i % NCOMP); consecutive slots
-                // churn distinct components, like the pod bench. Distinct
-                // demands per in-component slot force one fill freeze round
-                // per flow, making the exact solve O(flows²) per recompute.
-                let spec_of = |net: &mut FlowNet, i: usize| {
-                    let comp = i % NCOMP;
-                    let k = i / NCOMP;
-                    let a = links[comp * COMP_LINKS + k % COMP_LINKS];
-                    let b = links[comp * COMP_LINKS + (k * 7 + 1) % COMP_LINKS];
-                    let path = if a == b {
-                        net.intern_path(&[a])
-                    } else {
-                        net.intern_path(&[a, b])
-                    };
-                    FlowSpec {
-                        path,
-                        size_bits: 1e15,
-                        demand_bps: 50e9 + k as f64 * 1e6,
-                        tag: i as u64,
-                    }
+    let n = 16384usize;
+    group.bench_with_input(
+        BenchmarkId::new("incremental_collective", n),
+        &n,
+        |b, &n| {
+            let mut net = FlowNet::with_allocator(AllocatorKind::Incremental);
+            let links: Vec<_> = (0..NCOMP * COMP_LINKS)
+                .map(|_| net.add_link(4e12, 1e7))
+                .collect();
+            // Slot i lives in component (i % NCOMP); consecutive slots
+            // churn distinct components, like the pod bench. Distinct
+            // demands per in-component slot force one fill freeze round
+            // per flow, making the exact solve O(flows²) per recompute.
+            let spec_of = |net: &mut FlowNet, i: usize| {
+                let comp = i % NCOMP;
+                let k = i / NCOMP;
+                let a = links[comp * COMP_LINKS + k % COMP_LINKS];
+                let b = links[comp * COMP_LINKS + (k * 7 + 1) % COMP_LINKS];
+                let path = if a == b {
+                    net.intern_path(&[a])
+                } else {
+                    net.intern_path(&[a, b])
                 };
-                let mut handles: Vec<_> = (0..n)
-                    .map(|i| {
-                        let spec = spec_of(&mut net, i);
-                        net.start_flow(SimTime::ZERO, spec)
-                    })
-                    .collect();
+                FlowSpec {
+                    path,
+                    size_bits: 1e15,
+                    demand_bps: 50e9 + k as f64 * 1e6,
+                    tag: i as u64,
+                }
+            };
+            let mut handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let spec = spec_of(&mut net, i);
+                    net.start_flow(SimTime::ZERO, spec)
+                })
+                .collect();
+            net.recompute_if_dirty();
+            let warm = net.alloc_scope();
+            let mut i = 0usize;
+            b.iter(|| {
+                for _ in 0..CHURN_BATCH {
+                    let slot = i % handles.len();
+                    net.kill_flow(SimTime::ZERO, handles[slot]);
+                    let spec = spec_of(&mut net, slot);
+                    handles[slot] = net.start_flow(SimTime::ZERO, spec);
+                    i += 1;
+                }
                 net.recompute_if_dirty();
-                let warm = net.alloc_scope();
-                let mut i = 0usize;
-                b.iter(|| {
-                    for _ in 0..CHURN_BATCH {
-                        let slot = i % handles.len();
-                        net.kill_flow(SimTime::ZERO, handles[slot]);
-                        let spec = spec_of(&mut net, slot);
-                        handles[slot] = net.start_flow(SimTime::ZERO, spec);
-                        i += 1;
-                    }
-                    net.recompute_if_dirty();
-                });
-                let scope = net.alloc_scope().since(&warm);
-                eprintln!(
-                    "allocator/{name}/{n}: {:.1} flows + {:.1} links touched per event \
-                     ({:.4} of active flows)",
-                    scope.mean_flows_touched(),
-                    scope.mean_links_touched(),
-                    scope.touched_fraction(),
-                );
             });
-        }
-    }
+            let scope = net.alloc_scope().since(&warm);
+            eprintln!(
+            "allocator/incremental_collective/{n}: {:.1} flows + {:.1} links touched per event \
+             ({:.4} of active flows)",
+            scope.mean_flows_touched(),
+            scope.mean_links_touched(),
+            scope.touched_fraction(),
+        );
+        },
+    );
     group.finish();
     write_alloc_tracking(c);
 }

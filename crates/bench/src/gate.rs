@@ -29,7 +29,7 @@ use hpn_telemetry::{
 
 use crate::report::Report;
 use crate::runner::{run_plan, scale_label, RunPlan};
-use crate::Scale;
+use crate::{Scale, SimCtx};
 
 /// The figures CI gates on: the paper's evaluation section (§6).
 pub const GATE_FIGURES: [&str; 7] = [
@@ -107,11 +107,9 @@ impl GateOutcome {
 
 /// The allocator label recorded in manifests and printed by the gate.
 pub fn allocator_label() -> &'static str {
-    match AllocatorKind::from_env() {
+    match SimCtx::new().allocator() {
         AllocatorKind::Dense => "dense",
         AllocatorKind::Incremental => "incremental",
-        AllocatorKind::Parallel => "parallel",
-        AllocatorKind::Surrogate => "surrogate",
     }
 }
 

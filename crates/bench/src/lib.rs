@@ -18,8 +18,8 @@ pub mod runner;
 pub mod scenario_cli;
 pub mod serve;
 
-// The work-stealing pool moved down into `hpn-sim` so the parallel rate
-// allocator could share it; re-exported here for the bench binaries.
+// The work-stealing pool lives in `hpn-sim`, the bottom crate;
+// re-exported here for the bench binaries.
 pub use hpn_sim::pool;
 
 pub use hpn_telemetry::SimCtx;

@@ -34,7 +34,7 @@
 //!                                      # fuzz-derived scenarios to an
 //!                                      # in-process serve instance and
 //!                                      # requires bitwise-oracle-equal output
-//! hpn-experiments serve [--addr H:P] [--jobs N] [--quick] [--share-memo]
+//! hpn-experiments serve [--addr H:P] [--jobs N] [--quick]
 //!                                      # long-running what-if server with a
 //!                                      # cross-request artifact cache; see
 //!                                      # EXPERIMENTS.md "Service mode"
@@ -46,15 +46,33 @@
 //! inclusive) sweeps root seeds: one manifest per seed plus an aggregated
 //! `variance.json`.
 //!
-//! `--validate-every N` sets the surrogate allocator's online-validation
-//! cadence (equivalent to `HPN_SURROGATE_VALIDATE_EVERY=N`; only
-//! meaningful under `HPN_ALLOCATOR=surrogate`): every Nth prediction is
-//! re-solved exactly, `1` forces bitwise-exact rates, `0` disables
-//! validation entirely.
+//! `HPN_ALLOCATOR=dense|incremental` selects the rate allocator (default
+//! incremental). Any other value, and any flag not listed above, exits 2
+//! before anything runs.
 
 use std::io::Write as _;
 
 use hpn_bench::{find, registry, Scale, SimCtx};
+use hpn_sim::AllocatorKind;
+
+/// Every flag the CLI understands; any other `--` argument exits 2.
+const FLAGS: [&str; 15] = [
+    "--addr",
+    "--baseline",
+    "--budget-secs",
+    "--current",
+    "--jobs",
+    "--json",
+    "--latency",
+    "--mutate",
+    "--out",
+    "--quick",
+    "--seeds",
+    "--serve",
+    "--threshold",
+    "--update",
+    "--update-baseline",
+];
 
 /// Value of `--flag` (the following argument), if present.
 fn opt_value(args: &[String], flag: &str) -> Option<String> {
@@ -90,6 +108,17 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = AllocatorKind::from_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag '{bad}'; accepted flags: {}", FLAGS.join(" "));
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let json_path = opt_value(&args, "--json");
@@ -102,18 +131,7 @@ fn main() {
     let baseline_arg = opt_value(&args, "--baseline");
     let current_arg = opt_value(&args, "--current");
     let threshold_arg = opt_value(&args, "--threshold");
-    let validate_every_arg = opt_value(&args, "--validate-every");
     let addr_arg = opt_value(&args, "--addr");
-    if let Some(v) = &validate_every_arg {
-        match v.parse::<u32>() {
-            // `0` = never validate is a legal cadence for perf probing.
-            Ok(n) => std::env::set_var("HPN_SURROGATE_VALIDATE_EVERY", n.to_string()),
-            Err(_) => {
-                eprintln!("--validate-every wants a non-negative integer, got '{v}'");
-                std::process::exit(2);
-            }
-        }
-    }
     let jobs = match &jobs_arg {
         None => 1,
         Some(v) => match v.parse::<usize>() {
@@ -137,7 +155,6 @@ fn main() {
         &baseline_arg,
         &current_arg,
         &threshold_arg,
-        &validate_every_arg,
         &addr_arg,
     ]
     .iter()
@@ -271,8 +288,7 @@ fn main() {
         }
         "serve" => {
             let addr = addr_arg.as_deref().unwrap_or("127.0.0.1:7070");
-            let share_memo = args.iter().any(|a| a == "--share-memo");
-            serve(addr, jobs, scale, share_memo);
+            serve(addr, jobs, scale);
         }
         "run" => {
             let seeds = match seeds_arg.as_deref().map(parse_seeds) {
@@ -789,14 +805,14 @@ fn scenario_fuzz(
 }
 
 /// The `serve` subcommand: run the what-if server until `POST /shutdown`.
-fn serve(addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
+fn serve(addr: &str, jobs: usize, scale: Scale) {
     use hpn_bench::serve::{ServeConfig, Server};
     let server = match Server::spawn(
         addr,
         ServeConfig {
             jobs,
             scale,
-            share_memo,
+            share_memo: false,
         },
     ) {
         Ok(s) => s,
@@ -806,10 +822,9 @@ fn serve(addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
         }
     };
     eprintln!(
-        "serve: listening on http://{} ({:?}, jobs={jobs}, memo sharing {})",
+        "serve: listening on http://{} ({:?}, jobs={jobs})",
         server.addr(),
         scale,
-        if share_memo { "on" } else { "off" },
     );
     eprintln!("serve: POST /scenario/check | POST /scenario/run | GET /status | POST /shutdown");
     server.join();

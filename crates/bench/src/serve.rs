@@ -5,8 +5,8 @@
 //! question — "same fabric, this fault schedule instead", "same topology,
 //! bigger batch" — and pays the topology + routing build cost every time.
 //! `serve` keeps one process (and one [`ArtifactCache`]) alive across
-//! requests, so repeat what-ifs reuse the built fabric, routing tables,
-//! interned route set and (opt-in) surrogate memo.
+//! requests, so repeat what-ifs reuse the built fabric, routing tables and
+//! interned route set.
 //!
 //! The HTTP/1.1 server is hand-rolled on `std::net` — no new dependencies,
 //! matching the repo's `telemetry::sha256` and TOML-subset precedents. One
@@ -21,16 +21,16 @@
 //! |------------------------|-------------------------------------------------|
 //! | `POST /scenario/check` | parse + cross-layer validate the TOML body      |
 //! | `POST /scenario/run`   | execute; stream telemetry JSONL, then manifest  |
-//! | `GET /status`          | queue depth, cache + cumulative surrogate stats |
+//! | `GET /status`          | queue depth and cache counters                  |
 //! | `POST /shutdown`       | drain the queue and stop                        |
 //!
 //! A `/scenario/run` response is chunked: the cell's telemetry JSONL
 //! streamed live while the simulation runs, then a
 //! [`MANIFEST_SEPARATOR`] line, then the [`RunManifest`] JSON — the same
 //! bytes `scenario run --out` writes to `<name>.telemetry.jsonl` and
-//! `manifest.json`. **Determinism is the contract**: with memo sharing off
-//! (the default) a serve response is byte-identical to the batch CLI's
-//! output, cold or warm cache, at any `--jobs` (`tests/serve.rs` and the
+//! `manifest.json`. **Determinism is the contract**: a serve response is
+//! byte-identical to the batch CLI's output, cold or warm cache, at any
+//! `--jobs` (`tests/serve.rs` and the
 //! `scenario fuzz --serve` leg enforce this against an in-process oracle).
 //!
 //! [`RunManifest`]: hpn_telemetry::RunManifest
@@ -70,15 +70,13 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Fidelity of every cell (`--quick`).
     pub scale: Scale,
-    /// Cross-request surrogate-memo sharing (`--share-memo`). Off by
-    /// default: warm memo hits change surrogate telemetry, and the default
-    /// configuration keeps serve output byte-identical to batch runs (see
-    /// [`ArtifactCache::with_memo_sharing`]).
+    /// Only for the frozen `benchmark/` package; drop in its next change.
+    /// Must be `false`: [`Server::spawn`] rejects `true`.
     pub share_memo: bool,
 }
 
 impl ServeConfig {
-    /// Defaults: one worker, quick scale, memo sharing off.
+    /// Defaults: one worker, quick scale.
     pub fn new() -> Self {
         ServeConfig {
             jobs: 1,
@@ -94,15 +92,6 @@ impl Default for ServeConfig {
     }
 }
 
-#[derive(Default)]
-struct SurrogateTotals {
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    validations: u64,
-    mismatches: u64,
-}
-
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
     cache: ArtifactCache,
@@ -114,7 +103,6 @@ struct Shared {
     active: AtomicUsize,
     completed: AtomicU64,
     connections: AtomicUsize,
-    surrogate: Mutex<SurrogateTotals>,
 }
 
 /// One queued `/scenario/run` request.
@@ -163,11 +151,19 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` and start the accept loop plus `config.jobs` workers.
+    /// A `config.share_memo` of `true` is an [`io::ErrorKind::InvalidInput`]
+    /// error: there is no memo left to share.
     pub fn spawn(addr: &str, config: ServeConfig) -> io::Result<Server> {
+        if config.share_memo {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "share_memo is not supported: no allocator keeps a memo",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            cache: ArtifactCache::new().with_memo_sharing(config.share_memo),
+            cache: ArtifactCache::new(),
             scale: config.scale,
             jobs: config.jobs.max(1),
             queue: Mutex::new(VecDeque::new()),
@@ -176,7 +172,6 @@ impl Server {
             active: AtomicUsize::new(0),
             completed: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
-            surrogate: Mutex::new(SurrogateTotals::default()),
         });
         let workers = (0..shared.jobs)
             .map(|_| {
@@ -288,16 +283,7 @@ fn worker(shared: &Arc<Shared>) {
         {
             let mut st = job.state.state.lock().expect("job state");
             *st = match outcome {
-                Ok(r) => {
-                    let s = r.registry.surrogate();
-                    let mut tot = shared.surrogate.lock().expect("surrogate totals");
-                    tot.lookups += s.lookups;
-                    tot.hits += s.hits();
-                    tot.misses += s.misses;
-                    tot.validations += s.validations;
-                    tot.mismatches += s.mismatches;
-                    JobState::Done(Box::new(r))
-                }
+                Ok(r) => JobState::Done(Box::new(r)),
                 Err(p) => JobState::Failed(panic_message(&p)),
             };
         }
@@ -442,35 +428,22 @@ fn parse_scenario(body: &[u8]) -> Result<Scenario, HttpError> {
 
 fn status_json(shared: &Shared) -> String {
     let c = shared.cache.stats();
-    let s = shared.surrogate.lock().expect("surrogate totals");
     format!(
         "{{\"jobs\":{},\"queue_depth\":{},\"active\":{},\"completed\":{},\
-         \"memo_sharing\":{},\
          \"cache\":{{\"topology_hits\":{},\"topology_misses\":{},\
          \"router_hits\":{},\"router_misses\":{},\
-         \"path_hits\":{},\"path_misses\":{},\
-         \"memo_hits\":{},\"memo_misses\":{},\"harvests\":{}}},\
-         \"surrogate\":{{\"lookups\":{},\"hits\":{},\"misses\":{},\
-         \"validations\":{},\"mismatches\":{}}}}}",
+         \"path_hits\":{},\"path_misses\":{},\"harvests\":{}}}}}",
         shared.jobs,
         shared.queue.lock().expect("serve queue").len(),
         shared.active.load(Ordering::SeqCst),
         shared.completed.load(Ordering::SeqCst),
-        shared.cache.memo_sharing(),
         c.topology_hits,
         c.topology_misses,
         c.router_hits,
         c.router_misses,
         c.path_hits,
         c.path_misses,
-        c.memo_hits,
-        c.memo_misses,
         c.harvests,
-        s.lookups,
-        s.hits,
-        s.misses,
-        s.validations,
-        s.mismatches,
     )
 }
 
@@ -856,9 +829,23 @@ mod tests {
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains("\"jobs\":3"), "{text}");
         assert!(text.contains("\"topology_hits\":0"), "{text}");
-        assert!(text.contains("\"memo_sharing\":false"), "{text}");
+        assert!(!text.contains("memo"), "{text}");
         server.stop();
         server.join();
+    }
+
+    #[test]
+    fn share_memo_is_rejected() {
+        let err = Server::spawn(
+            "127.0.0.1:0",
+            ServeConfig {
+                share_memo: true,
+                ..ServeConfig::new()
+            },
+        )
+        .err()
+        .expect("share_memo = true must not start a server");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -131,3 +131,35 @@ fn unknown_scenario_subcommand_lists_the_valid_ones() {
         .expect("run hpn-experiments");
     assert_diagnostic_exit(&out, "use check|run|fuzz");
 }
+
+#[test]
+fn unknown_allocator_names_are_rejected_at_startup() {
+    // Stale names of removed allocators and typos must not silently run
+    // the default allocator.
+    for bad in ["surrogate", "parallel", "surogate", ""] {
+        let out = bin()
+            .env("HPN_ALLOCATOR", bad)
+            .arg("list")
+            .output()
+            .expect("run hpn-experiments");
+        assert_diagnostic_exit(&out, "accepted values: dense, incremental");
+        assert!(out.stdout.is_empty(), "nothing runs before the check");
+    }
+    let out = bin()
+        .env("HPN_ALLOCATOR", "dense")
+        .arg("list")
+        .output()
+        .expect("run hpn-experiments");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+}
+
+#[test]
+fn removed_flags_are_unknown_flags() {
+    for flag in ["--share-memo", "--validate-every", "--quik"] {
+        let out = bin()
+            .args(["list", flag])
+            .output()
+            .expect("run hpn-experiments");
+        assert_diagnostic_exit(&out, &format!("unknown flag '{flag}'"));
+    }
+}

@@ -2,17 +2,14 @@
 //!
 //! A scenario is checked at two levels:
 //!
-//! * **Churn level** — the fabric's links are mirrored into quadruplet
+//! * **Churn level** — the fabric's links are mirrored into a pair of
 //!   fluid networks (the `DenseMaxMin` reference vs the production
-//!   `IncrementalMaxMin` vs the work-stealing `ParallelIncrementalMaxMin`
-//!   at two workers vs the memoized `SurrogateMaxMin`) and driven in
-//!   lockstep through a deterministic churn script of flow starts, kills,
-//!   time advances and link fail/repair toggles derived from the fuzz
-//!   seed. After every operation each network is audited for per-link
-//!   capacity conservation and the max-min bottleneck condition; the
-//!   dense, incremental, parallel and surrogate-at-cadence-1 traces must
-//!   agree *bitwise*, and a sparser-cadence surrogate replay must stay
-//!   within documented tolerance. Two metamorphic replays follow: scaling
+//!   `IncrementalMaxMin`) and driven in lockstep through a deterministic
+//!   churn script of flow starts, kills, time advances and link
+//!   fail/repair toggles derived from the fuzz seed. After every
+//!   operation each network is audited for per-link capacity
+//!   conservation and the max-min bottleneck condition, and the two
+//!   traces must agree *bitwise*. Two metamorphic replays follow: scaling
 //!   every capacity, demand and size by 2 must scale every rate by
 //!   exactly 2, and appending idle links no flow touches must change
 //!   nothing.
@@ -36,8 +33,8 @@ use hpn_routing::{LinkHealth, RouteRequest, Router};
 use hpn_scenario::{Scenario, Session};
 use hpn_sim::{
     label_hash, split_seed, AllocatorKind, FlowHandle, FlowNet, FlowSpec,
-    LinkDecompositionEstimator, LinkId, ParallelIncrementalMaxMin, PathId, QuantileSketch,
-    SimDuration, SimTime, StreamSeed, SurrogateConfig, SurrogateMaxMin, Xoshiro256,
+    LinkDecompositionEstimator, LinkId, PathId, QuantileSketch, SimDuration, SimTime, StreamSeed,
+    Xoshiro256,
 };
 use hpn_telemetry::{replay, Event, EventLog, Registry, SharedRecorder, SimCtx};
 use hpn_topology::{Fabric, LinkIdx};
@@ -158,57 +155,6 @@ pub fn check_scenario(sc: &Scenario, seed: u64, mutation: Mutation) -> Result<Ch
             "incremental",
         )?;
 
-        let par = run_script(
-            &caps,
-            &routes,
-            &used_links,
-            &script,
-            Alloc::Parallel,
-            1.0,
-            0,
-        )?;
-        compare_bitwise(
-            &incr,
-            &par,
-            "allocator_equivalence",
-            "incremental",
-            "parallel",
-        )?;
-
-        // Quadruplet member 4: the memoized surrogate. At cadence 1 every
-        // prediction is re-solved exactly, so its trace must be bitwise
-        // identical to the incremental reference.
-        let surr_exact = run_script(
-            &caps,
-            &routes,
-            &used_links,
-            &script,
-            Alloc::Surrogate { validate_every: 1 },
-            1.0,
-            0,
-        )?;
-        compare_bitwise(
-            &incr,
-            &surr_exact,
-            "allocator_equivalence",
-            "incremental",
-            "surrogate",
-        )?;
-
-        // At a sparser cadence the analytic surrogate's rates stand between
-        // validations; they must stay within documented tolerance of the
-        // exact trace for as long as the trajectories coincide.
-        let surr_sparse = run_script(
-            &caps,
-            &routes,
-            &used_links,
-            &script,
-            Alloc::Surrogate { validate_every: 5 },
-            1.0,
-            0,
-        )?;
-        compare_surrogate_tolerance(&incr, &surr_sparse)?;
-
         let scaled = run_script(
             &caps,
             &routes,
@@ -272,17 +218,6 @@ enum Op {
 enum Alloc {
     Dense,
     Incremental(Mutation),
-    /// The work-stealing allocator, pinned to two workers with the
-    /// small-component fallback disabled so the parallel path actually
-    /// executes even on fuzz-sized problems.
-    Parallel,
-    /// The memoized surrogate allocator at an explicit validation cadence
-    /// (`1` = every prediction re-solved exactly → bitwise-equal rates;
-    /// larger cadences leave analytic-surrogate rates in place between
-    /// validations and are compared under tolerance instead).
-    Surrogate {
-        validate_every: u32,
-    },
 }
 
 impl Alloc {
@@ -290,8 +225,6 @@ impl Alloc {
         match self {
             Alloc::Dense => "dense",
             Alloc::Incremental(_) => "incremental",
-            Alloc::Parallel => "parallel",
-            Alloc::Surrogate { .. } => "surrogate",
         }
     }
 
@@ -305,15 +238,6 @@ impl Alloc {
                 AllocatorKind::Incremental.build(),
                 m,
             ))),
-            Alloc::Parallel => FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(2).min_component_flows(0),
-            )),
-            Alloc::Surrogate { validate_every } => FlowNet::with_allocator_box(Box::new(
-                SurrogateMaxMin::with_config(SurrogateConfig {
-                    validate_every,
-                    cache_cap: 4096,
-                }),
-            )),
         }
     }
 }
@@ -601,58 +525,6 @@ fn compare_bitwise(
                     format!(
                         "op {op}: flow {ha} rate {va:.6} bps under {la} but {vb:.6} bps \
                          under {lb} (bitwise diff)"
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Tolerance compare for the surrogate at a sparse validation cadence:
-/// rates must agree within 1e-6 relative + 1e-3 bps absolute — the
-/// analytic water-filling surrogate is value-equivalent to the exact
-/// solver up to floating-point association order (see
-/// `hpn_sim::surrogate`). A rate difference of that size can flip a
-/// completion-time decision, after which the two trajectories legitimately
-/// fork (different live sets, different subsequent problems), so the
-/// comparison stops at the first completion divergence instead of
-/// reporting a spurious failure; the per-op capacity and max-min audits
-/// inside `run_script` remain the hard safety net on the surrogate's own
-/// trajectory.
-fn compare_surrogate_tolerance(exact: &Trace, surr: &Trace) -> Result<(), Failure> {
-    for (op, (ca, cb)) in exact.completions.iter().zip(&surr.completions).enumerate() {
-        if ca != cb {
-            return Ok(()); // trajectories forked on a completion boundary
-        }
-        let (ra, rb) = (&exact.rates[op], &surr.rates[op]);
-        if ra.len() != rb.len() {
-            return Err(fail(
-                "surrogate_tolerance",
-                format!(
-                    "op {op}: incremental has {} live flows but surrogate has {} \
-                     with identical completions",
-                    ra.len(),
-                    rb.len()
-                ),
-            ));
-        }
-        for (&(ha, va), &(hb, vb)) in ra.iter().zip(rb) {
-            if ha != hb {
-                return Err(fail(
-                    "surrogate_tolerance",
-                    format!(
-                        "op {op}: live sets diverge (incremental flow {ha} vs surrogate \
-                         flow {hb}) with identical completions"
-                    ),
-                ));
-            }
-            if (vb - va).abs() > va.abs() * 1e-6 + 1e-3 {
-                return Err(fail(
-                    "surrogate_tolerance",
-                    format!(
-                        "op {op}: flow {ha} rate {vb:.6} bps under surrogate vs {va:.6} bps \
-                         exact — outside 1e-6 relative + 1e-3 absolute tolerance"
                     ),
                 ));
             }

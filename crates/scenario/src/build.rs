@@ -791,11 +791,11 @@ mod tests {
         let log = EventLog::new();
         let ctx = SimCtx::new()
             .with_recorder(SharedRecorder::new(Box::new(log.clone())))
-            .with_allocator(hpn_sim::AllocatorKind::Parallel);
+            .with_allocator(hpn_sim::AllocatorKind::Dense);
         let session = tiny().build_with(&ctx).expect("valid scenario");
         assert_eq!(
             session.cluster.net.allocator_kind(),
-            hpn_sim::AllocatorKind::Parallel
+            hpn_sim::AllocatorKind::Dense
         );
         assert_eq!(log.len(), 1, "SimStart marker through the ctx recorder");
         // The whole built session migrates to a worker thread.

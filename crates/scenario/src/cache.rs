@@ -3,8 +3,8 @@
 //! A long-running `hpn-experiments serve` process answers a stream of
 //! what-if requests that overwhelmingly share structure: "same fabric,
 //! different faults", "same topology, new workload". Rebuilding the fabric
-//! wiring, routing tables, path interner and allocator memo from scratch
-//! per request throws that overlap away. The [`ArtifactCache`] keeps the
+//! wiring, routing tables and path interner from scratch per request
+//! throws that overlap away. The [`ArtifactCache`] keeps the
 //! expensive build artifacts alive across requests, keyed by the
 //! *canonical serialization of exactly the scenario sections that
 //! determine each artifact*:
@@ -14,7 +14,6 @@
 //! | built [`Fabric`]                | `[topology]`                          |
 //! | routing tables ([`Router`])     | `[topology]` + `[routing]`            |
 //! | interned route set ([`PathSet`])| `[topology]` + `[routing]` + `[workload]` |
-//! | surrogate memo ([`SurrogateSeed`]) | `[topology]` + `[routing]`         |
 //!
 //! Keys are built from [`Scenario::to_doc`], which emits every config
 //! field explicitly (defaults included), so two TOML files that *mean*
@@ -28,19 +27,15 @@
 //! copy-on-write via `ClusterSim::router_mut`), so sharing them cannot
 //! change results. The path snapshot only pre-populates a fresh
 //! interner; `PathId` values never reach output bytes, so warm interning
-//! is byte-silent. The surrogate memo is the one artifact whose reuse is
-//! *observable* — warm hits honestly change the surrogate's hit/miss
-//! telemetry — so memo sharing is opt-in
-//! ([`ArtifactCache::with_memo_sharing`]) and off by default, keeping the
-//! default serve configuration byte-identical to batch runs under every
-//! allocator.
+//! is byte-silent, and serve stays byte-identical to batch runs under
+//! either allocator.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 
 use hpn_routing::router::Router;
-use hpn_sim::{PathSet, SurrogateSeed};
+use hpn_sim::PathSet;
 use hpn_telemetry::SimCtx;
 use hpn_topology::Fabric;
 use hpn_transport::ClusterSim;
@@ -67,12 +62,6 @@ pub struct CacheStats {
     pub path_hits: u64,
     /// Builds that found no cached route set for their key.
     pub path_misses: u64,
-    /// Allocators warmed from a cached surrogate memo (only counted when
-    /// memo sharing is enabled *and* the session's allocator accepted it).
-    pub memo_hits: u64,
-    /// Memo lookups that found nothing to seed (or an allocator without a
-    /// memo).
-    pub memo_misses: u64,
     /// Completed runs whose artifacts were stored back into the cache.
     pub harvests: u64,
 }
@@ -82,7 +71,6 @@ struct Inner {
     fabrics: HashMap<String, Arc<Fabric>>,
     routers: HashMap<String, Arc<Router>>,
     paths: HashMap<String, PathSet>,
-    memos: HashMap<String, SurrogateSeed>,
     stats: CacheStats,
 }
 
@@ -92,32 +80,13 @@ struct Inner {
 /// workers share one cache without serializing their builds.
 #[derive(Default)]
 pub struct ArtifactCache {
-    share_memo: bool,
     inner: Mutex<Inner>,
 }
 
 impl ArtifactCache {
-    /// An empty cache. Memo sharing starts disabled (byte-transparent
-    /// default); see [`ArtifactCache::with_memo_sharing`].
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enable or disable cross-request surrogate-memo sharing. Warm memo
-    /// hits change the surrogate allocator's hit/miss telemetry (the
-    /// counters are honest about inherited state), so turning this on
-    /// trades cold-vs-warm byte identity under `HPN_ALLOCATOR=surrogate`
-    /// for faster repeat what-ifs. Rates themselves stay bitwise exact
-    /// either way — the canonical memo round-trips same-scale hits
-    /// exactly, and the online validator covers the rest.
-    pub fn with_memo_sharing(mut self, on: bool) -> Self {
-        self.share_memo = on;
-        self
-    }
-
-    /// Whether surrogate-memo sharing is enabled.
-    pub fn memo_sharing(&self) -> bool {
-        self.share_memo
     }
 
     /// Snapshot of the hit/miss counters.
@@ -179,50 +148,24 @@ impl ArtifactCache {
         }
     }
 
-    /// Store a finished run's reusable artifacts back into the cache: the
-    /// net's route-set snapshot (always), and the allocator's surrogate
-    /// memo (when memo sharing is on). Later snapshots overwrite earlier
-    /// ones — a warm run's snapshot is a superset of its seed, so the
-    /// cached set grows toward the scenario's route closure.
+    /// Store a finished run's reusable artifact back into the cache: the
+    /// net's route-set snapshot. Later snapshots overwrite earlier ones —
+    /// a warm run's snapshot is a superset of its seed, so the cached set
+    /// grows toward the scenario's route closure.
     pub fn harvest(&self, sc: &Scenario, cluster: &ClusterSim) {
         let paths = cluster.net.path_snapshot();
-        let memo = if self.share_memo {
-            cluster.net.export_surrogate_memo()
-        } else {
-            None
-        };
         let mut inner = self.inner.lock().expect("artifact cache");
         if !paths.is_empty() {
             inner.paths.insert(session_key(sc), paths);
-        }
-        if let Some(m) = memo {
-            if !m.is_empty() {
-                inner.memos.insert(routing_key(sc), m);
-            }
         }
         inner.stats.harvests += 1;
     }
 
     /// Warm a freshly built session from the cache: seed the (still
-    /// empty) path interner from the cached route set and, when memo
-    /// sharing is on, the allocator from the cached surrogate memo.
+    /// empty) path interner from the cached route set.
     fn warm(&self, sc: &Scenario, cluster: &mut ClusterSim) {
         if let Some(set) = self.paths(sc) {
             cluster.net.seed_paths(&set);
-        }
-        if self.share_memo {
-            let memo = {
-                let mut inner = self.inner.lock().expect("artifact cache");
-                let m = inner.memos.get(&routing_key(sc)).cloned();
-                match &m {
-                    Some(_) => inner.stats.memo_hits += 1,
-                    None => inner.stats.memo_misses += 1,
-                }
-                m
-            };
-            if let Some(m) = memo {
-                cluster.net.seed_surrogate_memo(&m);
-            }
         }
     }
 }
@@ -230,10 +173,9 @@ impl ArtifactCache {
 impl Scenario {
     /// [`Scenario::build_with`], but with every cacheable phase routed
     /// through `cache`: the fabric and router come from (or land in) the
-    /// cache, and the fresh session is warmed with any cached route set
-    /// and surrogate memo. Run the session, then hand it back via
-    /// [`ArtifactCache::harvest`] so the *next* same-shape request starts
-    /// warm.
+    /// cache, and the fresh session is warmed with any cached route set.
+    /// Run the session, then hand it back via [`ArtifactCache::harvest`]
+    /// so the *next* same-shape request starts warm.
     pub fn build_cached(
         &self,
         ctx: &SimCtx,
@@ -267,8 +209,7 @@ pub fn topology_key(sc: &Scenario) -> String {
     section_key(sc, &["topology"])
 }
 
-/// Cache key of routing tables and the surrogate memo:
-/// `[topology]` + `[routing]`.
+/// Cache key of routing tables: `[topology]` + `[routing]`.
 pub fn routing_key(sc: &Scenario) -> String {
     section_key(sc, &["topology", "routing"])
 }
@@ -378,34 +319,5 @@ mod tests {
             "fresh session starts with the harvested route set"
         );
         assert_eq!(cache.stats().path_hits, 1);
-    }
-
-    #[test]
-    fn memo_sharing_is_off_by_default() {
-        let cache = ArtifactCache::new();
-        assert!(!cache.memo_sharing());
-        let ctx = SimCtx::new().with_allocator(hpn_sim::AllocatorKind::Surrogate);
-        let sc = tiny("memo");
-        let s1 = sc.build_cached(&ctx, &cache).expect("builds");
-        cache.harvest(&sc, &s1.cluster);
-        let _s2 = sc.build_cached(&ctx, &cache).expect("builds");
-        let stats = cache.stats();
-        assert_eq!(
-            stats.memo_hits + stats.memo_misses,
-            0,
-            "memo path untouched"
-        );
-    }
-
-    #[test]
-    fn memo_sharing_round_trips_the_surrogate_cache() {
-        let cache = ArtifactCache::new().with_memo_sharing(true);
-        let ctx = SimCtx::new().with_allocator(hpn_sim::AllocatorKind::Surrogate);
-        let sc = tiny("memo");
-        let s1 = sc.build_cached(&ctx, &cache).expect("builds");
-        cache.harvest(&sc, &s1.cluster);
-        // Nothing was predicted, so the memo is empty and not stored.
-        let _s2 = sc.build_cached(&ctx, &cache).expect("builds");
-        assert_eq!(cache.stats().memo_misses, 2);
     }
 }

@@ -32,7 +32,6 @@ use crate::path::{PathId, PathInterner};
 use crate::probe::NetProbe;
 use crate::sketch::QuantileSketch;
 use crate::stats::RecomputeScope;
-use crate::surrogate::SurrogateStats;
 use crate::tail::{LinkView, TailEstimator};
 use crate::time::SimTime;
 
@@ -159,9 +158,6 @@ pub struct FlowNet {
     hot_links: Vec<u32>,
     allocator: Box<dyn RateAllocator>,
     scope: RecomputeScope,
-    /// Last observed surrogate-cache counters, for per-recompute probe
-    /// deltas (all-zero for the exact allocators).
-    last_surrogate: SurrogateStats,
     probe: Option<Box<dyn NetProbe + Send>>,
     estimator: Option<Box<dyn TailEstimator>>,
     /// Streaming sketch of completed-flow FCTs (seconds). Always on — one
@@ -180,8 +176,11 @@ impl FlowNet {
     /// An empty network at time zero, using the default allocator
     /// ([`AllocatorKind::Incremental`], overridable via the `HPN_ALLOCATOR`
     /// environment variable — see [`AllocatorKind::from_env`]).
+    ///
+    /// # Panics
+    /// Panics if `HPN_ALLOCATOR` names no allocator.
     pub fn new() -> Self {
-        Self::with_allocator(AllocatorKind::from_env())
+        Self::with_allocator(AllocatorKind::from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// An empty network using the given rate allocator.
@@ -206,7 +205,6 @@ impl FlowNet {
             hot_links: Vec::new(),
             allocator,
             scope: RecomputeScope::default(),
-            last_surrogate: SurrogateStats::default(),
             probe: None,
             estimator: None,
             fct: QuantileSketch::default(),
@@ -566,49 +564,13 @@ impl FlowNet {
             if let Some(p) = self.probe.as_mut() {
                 let d = self.scope.since(&before);
                 p.rate_recompute(self.clock, d.flows_touched, d.links_touched, d.flows_active);
-                if let Some(stats) = self.allocator.surrogate_stats() {
-                    let ds = stats.since(&self.last_surrogate);
-                    if ds.lookups > 0 || ds.mismatches > 0 {
-                        p.surrogate_cache(
-                            self.clock,
-                            ds.lookups,
-                            ds.misses,
-                            ds.validations,
-                            ds.mismatches,
-                        );
-                    }
-                    self.last_surrogate = stats;
-                }
             }
         }
     }
 
-    /// Cumulative surrogate-cache counters, when the allocator is
-    /// [`AllocatorKind::Surrogate`] (`None` for the exact allocators).
-    pub fn surrogate_stats(&self) -> Option<SurrogateStats> {
-        self.allocator.surrogate_stats()
-    }
-
-    /// Set the surrogate allocator's online-validation cadence (validate
-    /// every Nth prediction; `0` = never, `1` = always). A no-op for the
-    /// exact allocators.
+    /// Only for the frozen `benchmark/` package; drop in its next change.
     pub fn set_surrogate_validate_every(&mut self, every: u32) {
-        self.allocator.set_validate_every(every);
-    }
-
-    /// Export the allocator's shareable memo (the surrogate's
-    /// canonical-shape cache), if it keeps one.
-    pub fn export_surrogate_memo(&self) -> Option<crate::surrogate::SurrogateSeed> {
-        self.allocator.export_memo()
-    }
-
-    /// Warm the allocator from a previously exported memo. Returns whether
-    /// the allocator accepted it (`false` for the exact allocators).
-    /// Warm-memo hits change the surrogate's hit/miss telemetry — they are
-    /// honest about inherited state — so callers that require cold-vs-warm
-    /// byte identity under the surrogate allocator must not seed.
-    pub fn seed_surrogate_memo(&mut self, seed: &crate::surrogate::SurrogateSeed) -> bool {
-        self.allocator.seed_memo(seed)
+        let _ = every;
     }
 
     /// Apply progress/queues from `clock` to `now` using current rates.
@@ -859,6 +821,69 @@ mod tests {
         assert!((t.as_secs_f64() - 6.0).abs() < 1e-6, "{t:?}");
     }
 
+    /// After every recompute the hot set is exactly the links that carry
+    /// flows or hold queue. The allocators' hot-set update inspects only
+    /// the links a recompute touched, so it relies on this holding going
+    /// in; the script drives every way a link enters or leaves the set.
+    #[test]
+    fn hot_set_matches_full_scan_through_churn() {
+        for kind in [AllocatorKind::Dense, AllocatorKind::Incremental] {
+            let mut net = FlowNet::with_allocator(kind);
+            let l: Vec<LinkId> = [100.0, 100.0, 100.0, 100.0, 40.0]
+                .iter()
+                .map(|&c| net.add_link(c * GBPS, 1e12))
+                .collect();
+            let check = |net: &mut FlowNet, what: &str| {
+                net.recompute_if_dirty();
+                let scan: Vec<u32> = (0..net.links.len() as u32)
+                    .filter(|&i| {
+                        let s = &net.links[i as usize];
+                        s.active_flows > 0 || s.queue_bits > 0.0
+                    })
+                    .collect();
+                assert_eq!(net.hot_links, scan, "{kind:?}: {what}");
+            };
+            // Two 80G senders converge on the 100G link l[2] (queue
+            // build-up); a short flow on l[3]→l[4] completes on its own.
+            let sa = spec(&mut net, &[l[0], l[2]], 1e13, 80.0 * GBPS, 0);
+            let sb = spec(&mut net, &[l[1], l[2]], 1e13, 80.0 * GBPS, 1);
+            let sc = spec(&mut net, &[l[3], l[4]], 5.0 * GBPS, f64::INFINITY, 2);
+            let mut t = SimTime::ZERO;
+            let a = net.start_flow(t, sa);
+            check(&mut net, "first sender");
+            let b = net.start_flow(t, sb);
+            check(&mut net, "second sender");
+            net.start_flow(t, sc);
+            check(&mut net, "short flow");
+            t = SimTime::from_secs(1);
+            assert_eq!(net.advance(t).len(), 1, "the short flow completes");
+            check(&mut net, "completion");
+            assert!(net.link(l[2]).queue_bits > 0.0, "converging senders queue");
+            net.set_link_up(l[0], false);
+            check(&mut net, "link down");
+            t = SimTime::from_millis(1100);
+            net.advance(t);
+            check(&mut net, "advance while down");
+            net.set_link_up(l[0], true);
+            check(&mut net, "link up");
+            net.kill_flow(t, a);
+            net.kill_flow(t, b);
+            check(&mut net, "kill both senders");
+            let q = net.link(l[2]);
+            assert!(
+                q.active_flows == 0 && q.queue_bits > 0.0,
+                "the queue outlives its flows"
+            );
+            let mut ms = 1100;
+            while !net.hot_links.is_empty() {
+                ms += 10;
+                assert!(ms < 5000, "{kind:?}: queue never drained");
+                net.advance(SimTime::from_millis(ms));
+                check(&mut net, "drain");
+            }
+        }
+    }
+
     #[test]
     fn queue_builds_when_offered_exceeds_capacity() {
         // Three 200G-demand flows hash onto one 400G port: offered 600G,
@@ -1034,12 +1059,7 @@ mod tests {
 
     #[test]
     fn both_allocators_agree_on_parking_lot() {
-        for kind in [
-            AllocatorKind::Dense,
-            AllocatorKind::Incremental,
-            AllocatorKind::Parallel,
-            AllocatorKind::Surrogate,
-        ] {
+        for kind in [AllocatorKind::Dense, AllocatorKind::Incremental] {
             let mut net = FlowNet::with_allocator(kind);
             let l0 = net.add_link(100.0 * GBPS, f64::INFINITY);
             let l1 = net.add_link(50.0 * GBPS, f64::INFINITY);

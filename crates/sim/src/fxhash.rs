@@ -1,12 +1,10 @@
-//! A minimal Fx-style multiplicative hasher for internal memo maps.
+//! A minimal Fx-style multiplicative hasher for internal maps.
 //!
-//! The surrogate allocator's memo keys are multi-kilobyte `Vec<u64>`
-//! problem serializations hashed on every cache probe; the standard
-//! library's SipHash processes them at ~1 byte/cycle, which shows up as
-//! tens of microseconds per recompute. This is the rustc `FxHasher`
-//! recurrence (rotate, xor, multiply — one multiply per word), which is not
-//! DoS-resistant and must not be used for attacker-controlled keys; memo
-//! keys derived from the simulation's own state are fine.
+//! The dense solver groups flows by union-find root on every recompute,
+//! a map probe per flow; SipHash is needless cost for such keys. This is the rustc `FxHasher` recurrence (rotate, xor, multiply — one
+//! multiply per word), which is not DoS-resistant and must not be used for
+//! attacker-controlled keys; keys derived from the simulation's own state
+//! are fine.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -13,13 +13,11 @@
 //!   [`RateAllocator`] trait: the default [`alloc::IncrementalMaxMin`]
 //!   recomputes only the perturbed bottleneck component per event, while
 //!   [`alloc::DenseMaxMin`] re-solves every flow and serves as the oracle,
-//!   and [`alloc::ParallelIncrementalMaxMin`] re-solves perturbed
-//!   components concurrently on the [`pool`] with bitwise-identical rates.
+//!   with bitwise-identical rates.
 //!   Flow paths are interned ([`PathId`]/[`PathInterner`]) so specs carry a
 //!   4-byte handle instead of a link vector,
 //! * [`pool`] — a minimal work-stealing thread pool (deterministic,
-//!   task-order-indexed results) shared by the parallel allocator and the
-//!   experiment runner,
+//!   task-order-indexed results) used by the experiment runner,
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, dependency-free deterministic
 //!   PRNGs so simulation runs are exactly reproducible from a seed,
 //! * [`TimeSeries`] and [`stats`] — recording utilities used by the
@@ -57,7 +55,7 @@ pub mod tail;
 pub mod time;
 pub mod units;
 
-pub use alloc::{AllocatorKind, ParallelIncrementalMaxMin, RateAllocator};
+pub use alloc::{AllocatorKind, RateAllocator};
 pub use arena::{Flow, FlowArena};
 pub use engine::{Engine, EventId};
 pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState};
@@ -67,6 +65,5 @@ pub use rng::{label_hash, split_seed, SplitMix64, StreamSeed, Xoshiro256};
 pub use series::TimeSeries;
 pub use sketch::QuantileSketch;
 pub use stats::RecomputeScope;
-pub use surrogate::{SurrogateConfig, SurrogateMaxMin, SurrogateSeed, SurrogateStats};
 pub use tail::{LinkDecompositionEstimator, LinkView, TailEstimator};
 pub use time::{SimDuration, SimTime};

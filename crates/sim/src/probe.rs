@@ -37,19 +37,6 @@ pub trait NetProbe {
 
     /// A link changed physical state.
     fn link_state(&mut self, _t: SimTime, _link: u32, _up: bool) {}
-
-    /// The surrogate allocator's cache counters changed during a rate
-    /// recompute; arguments are the deltas of that one recompute. Only
-    /// fired when the net runs [`crate::surrogate::SurrogateMaxMin`].
-    fn surrogate_cache(
-        &mut self,
-        _t: SimTime,
-        _lookups: u64,
-        _misses: u64,
-        _validations: u64,
-        _mismatches: u64,
-    ) {
-    }
 }
 
 /// A probe that counts callbacks — used in tests and as a trivial example.
@@ -65,10 +52,6 @@ pub struct CountingProbe {
     pub recomputes: u64,
     /// `link_state` callbacks seen.
     pub link_changes: u64,
-    /// Total surrogate-cache lookups across `surrogate_cache` callbacks.
-    pub surrogate_lookups: u64,
-    /// Total surrogate validation mismatches across callbacks.
-    pub surrogate_mismatches: u64,
 }
 
 impl NetProbe for CountingProbe {
@@ -90,17 +73,5 @@ impl NetProbe for CountingProbe {
 
     fn link_state(&mut self, _t: SimTime, _link: u32, _up: bool) {
         self.link_changes += 1;
-    }
-
-    fn surrogate_cache(
-        &mut self,
-        _t: SimTime,
-        lookups: u64,
-        _misses: u64,
-        _validations: u64,
-        mismatches: u64,
-    ) {
-        self.surrogate_lookups += lookups;
-        self.surrogate_mismatches += mismatches;
     }
 }

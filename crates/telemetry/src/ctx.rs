@@ -36,23 +36,20 @@ pub struct SimCtx {
     recorder: SharedRecorder,
     root_seed: Option<u64>,
     allocator: AllocatorKind,
-    validate_every: u32,
 }
 
 impl Default for SimCtx {
-    /// Null recorder, no sweep root, allocator from `HPN_ALLOCATOR`,
-    /// surrogate validation cadence from `HPN_SURROGATE_VALIDATE_EVERY`
-    /// (default 64) — the exact behaviour sessions got from the old
-    /// ambient defaults.
+    /// Null recorder, no sweep root, allocator from `HPN_ALLOCATOR` — the
+    /// exact behaviour sessions got from the old ambient defaults.
+    ///
+    /// # Panics
+    /// Panics if `HPN_ALLOCATOR` names no allocator (`hpn-experiments`
+    /// rejects such a value at startup instead).
     fn default() -> Self {
         SimCtx {
             recorder: SharedRecorder::null(),
             root_seed: None,
-            allocator: AllocatorKind::from_env(),
-            validate_every: std::env::var("HPN_SURROGATE_VALIDATE_EVERY")
-                .ok()
-                .and_then(|v| v.parse::<u32>().ok())
-                .unwrap_or(64),
+            allocator: AllocatorKind::from_env().unwrap_or_else(|e| panic!("{e}")),
         }
     }
 }
@@ -83,15 +80,6 @@ impl SimCtx {
         self
     }
 
-    /// Pin the surrogate allocator's online-validation cadence (validate
-    /// every Nth prediction; `0` = never, `1` = always) instead of the
-    /// `HPN_SURROGATE_VALIDATE_EVERY` default. Only meaningful when the
-    /// allocator is [`AllocatorKind::Surrogate`].
-    pub fn with_validate_every(mut self, every: u32) -> Self {
-        self.validate_every = every;
-        self
-    }
-
     /// The recorder sessions built from this context emit into.
     pub fn recorder(&self) -> &SharedRecorder {
         &self.recorder
@@ -107,9 +95,9 @@ impl SimCtx {
         self.allocator
     }
 
-    /// The surrogate allocator's online-validation cadence.
+    /// Only for the frozen `benchmark/` package; drop in its next change.
     pub fn validate_every(&self) -> u32 {
-        self.validate_every
+        0
     }
 
     /// The seed a call site with fixed identity `site` should use: split
@@ -172,9 +160,9 @@ mod tests {
                 buf.clone(),
             ))))
             .with_root_seed(3)
-            .with_allocator(AllocatorKind::Parallel);
+            .with_allocator(AllocatorKind::Dense);
         assert!(ctx.recorder().enabled());
-        assert_eq!(ctx.allocator(), AllocatorKind::Parallel);
+        assert_eq!(ctx.allocator(), AllocatorKind::Dense);
         let clone = ctx.clone();
         clone
             .recorder()

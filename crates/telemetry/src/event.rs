@@ -136,29 +136,6 @@ pub enum Event {
         /// Repaired element: routing link index or ToR node id.
         target: u32,
     },
-    /// The surrogate allocator's cache activity during one rate recompute
-    /// (deltas of that recompute). Named for the miss counter it carries;
-    /// fired whenever the surrogate served lookups, hits included, so the
-    /// registry can account hit/miss/validation rates.
-    SurrogateMiss {
-        /// Simulated time in nanoseconds.
-        t_ns: u64,
-        /// Component predictions served in this recompute.
-        lookups: u64,
-        /// Predictions that missed the cache (analytic-surrogate solves).
-        misses: u64,
-        /// Predictions re-solved exactly for online validation.
-        validations: u64,
-    },
-    /// An online validation caught the surrogate disagreeing bitwise with
-    /// the exact solver; the poisoned cache entry was evicted and the
-    /// exact rates used.
-    SurrogateMismatch {
-        /// Simulated time in nanoseconds.
-        t_ns: u64,
-        /// Mismatching validations in this recompute.
-        mismatches: u64,
-    },
 }
 
 impl Event {
@@ -177,9 +154,7 @@ impl Event {
             | Event::LinkSample { t_ns, .. }
             | Event::CollectiveStep { t_ns, .. }
             | Event::FaultInject { t_ns, .. }
-            | Event::FaultRepair { t_ns, .. }
-            | Event::SurrogateMiss { t_ns, .. }
-            | Event::SurrogateMismatch { t_ns, .. } => t_ns,
+            | Event::FaultRepair { t_ns, .. } => t_ns,
         }
     }
 
@@ -204,8 +179,6 @@ impl Event {
             Event::CollectiveStep { .. } => "collective_step",
             Event::FaultInject { .. } => "fault_inject",
             Event::FaultRepair { .. } => "fault_repair",
-            Event::SurrogateMiss { .. } => "surrogate_miss",
-            Event::SurrogateMismatch { .. } => "surrogate_mismatch",
         }
     }
 
@@ -298,21 +271,6 @@ impl Event {
             | Event::FaultRepair { t_ns, kind, target } => {
                 push_t(&mut s, *t_ns);
                 s.push_str(&format!(",\"kind\":\"{kind}\",\"target\":{target}"));
-            }
-            Event::SurrogateMiss {
-                t_ns,
-                lookups,
-                misses,
-                validations,
-            } => {
-                push_t(&mut s, *t_ns);
-                s.push_str(&format!(
-                    ",\"lookups\":{lookups},\"misses\":{misses},\"validations\":{validations}"
-                ));
-            }
-            Event::SurrogateMismatch { t_ns, mismatches } => {
-                push_t(&mut s, *t_ns);
-                s.push_str(&format!(",\"mismatches\":{mismatches}"));
             }
         }
         s.push('}');

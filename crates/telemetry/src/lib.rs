@@ -50,9 +50,7 @@ pub use ctx::SimCtx;
 pub use event::Event;
 pub use manifest::{flat_map_json, git_describe, parse_flat_map, RunManifest};
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder, SharedBuf};
-pub use registry::{
-    FlowMetrics, LatencyMetrics, LinkMetrics, RecomputeMetrics, Registry, SurrogateMetrics,
-};
+pub use registry::{FlowMetrics, LatencyMetrics, LinkMetrics, RecomputeMetrics, Registry};
 pub use segment::{merge_segments, replay, EventLog, EventStream};
 pub use sha256::{hex_digest, Sha256};
 pub use share::SharedRecorder;

@@ -96,46 +96,6 @@ pub struct RecomputeMetrics {
     pub flows_active: u64,
 }
 
-/// Aggregated surrogate-allocator cache counters (the telemetry view of
-/// [`Event::SurrogateMiss`] / [`Event::SurrogateMismatch`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SurrogateMetrics {
-    /// Component predictions served by the surrogate allocator.
-    pub lookups: u64,
-    /// Predictions that missed the memo cache.
-    pub misses: u64,
-    /// Predictions re-solved exactly for online validation.
-    pub validations: u64,
-    /// Validations where the surrogate disagreed bitwise with the exact
-    /// solver (each one evicted a cache entry and fell back to exact).
-    pub mismatches: u64,
-}
-
-impl SurrogateMetrics {
-    /// Predictions served straight from the memo cache.
-    pub fn hits(&self) -> u64 {
-        self.lookups.saturating_sub(self.misses)
-    }
-
-    /// Fraction of lookups served from the cache (0.0 before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / self.lookups as f64
-        }
-    }
-
-    /// Fraction of lookups re-solved exactly (0.0 before any lookup).
-    pub fn validation_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.validations as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// Streaming latency tails: per-flow FCT and per-link queueing delay,
 /// both in seconds, in mergeable [`QuantileSketch`]es (±1% relative
 /// error, constant memory — see [`hpn_sim::sketch`]).
@@ -160,7 +120,6 @@ pub struct Registry {
     links: BTreeMap<u32, LinkMetrics>,
     flows: FlowMetrics,
     recompute: RecomputeMetrics,
-    surrogate: SurrogateMetrics,
     latency: LatencyMetrics,
     /// Collective step durations in seconds (capped).
     step_durs: Vec<f64>,
@@ -223,19 +182,6 @@ impl Registry {
             }
             Event::LinkState { link, .. } => {
                 self.links.entry(link).or_default().state_changes += 1;
-            }
-            Event::SurrogateMiss {
-                lookups,
-                misses,
-                validations,
-                ..
-            } => {
-                self.surrogate.lookups += lookups;
-                self.surrogate.misses += misses;
-                self.surrogate.validations += validations;
-            }
-            Event::SurrogateMismatch { mismatches, .. } => {
-                self.surrogate.mismatches += mismatches;
             }
             Event::LinkSample {
                 link,
@@ -301,10 +247,6 @@ impl Registry {
         self.recompute.flows_touched += other.recompute.flows_touched;
         self.recompute.links_touched += other.recompute.links_touched;
         self.recompute.flows_active += other.recompute.flows_active;
-        self.surrogate.lookups += other.surrogate.lookups;
-        self.surrogate.misses += other.surrogate.misses;
-        self.surrogate.validations += other.surrogate.validations;
-        self.surrogate.mismatches += other.surrogate.mismatches;
         let room = MAX_RAW_SAMPLES.saturating_sub(self.step_durs.len());
         self.step_durs
             .extend(other.step_durs.iter().take(room).copied());
@@ -338,12 +280,6 @@ impl Registry {
     /// Recompute-scope aggregates.
     pub fn recompute(&self) -> RecomputeMetrics {
         self.recompute
-    }
-
-    /// Surrogate-allocator cache aggregates (all zero unless the run
-    /// used [`hpn_sim::SurrogateMaxMin`]).
-    pub fn surrogate(&self) -> SurrogateMetrics {
-        self.surrogate
     }
 
     /// ECDF of collective step durations (seconds).
@@ -444,22 +380,6 @@ impl Registry {
             sketch_summary_json(&self.latency.fct),
             sketch_summary_json(&self.latency.queue_delay)
         ));
-        // Surrogate cache stats appear only when the run actually exercised
-        // the surrogate allocator, so non-surrogate summaries (and their CI
-        // golden fingerprints) stay byte-identical.
-        if self.surrogate.lookups > 0 || self.surrogate.mismatches > 0 {
-            s.push_str(&format!(
-                "\"surrogate\":{{\"lookups\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{},\
-                 \"validations\":{},\"validation_rate\":{},\"mismatches\":{}}},",
-                self.surrogate.lookups,
-                self.surrogate.hits(),
-                self.surrogate.misses,
-                json_num(self.surrogate.hit_rate()),
-                self.surrogate.validations,
-                json_num(self.surrogate.validation_rate()),
-                self.surrogate.mismatches
-            ));
-        }
         let hottest = self
             .links
             .iter()
@@ -803,68 +723,6 @@ mod tests {
         );
         assert!(r.summary_json().contains("\"fct\":{\"count\":0"));
         assert!(r.summary_json().contains("\"queue_delay\":{\"count\":0"));
-    }
-
-    #[test]
-    fn surrogate_counters_match_hand_computed_trace() {
-        let mut r = Registry::new();
-        assert_eq!(r.surrogate().lookups, 0);
-        assert!(
-            !r.summary_json().contains("\"surrogate\""),
-            "no surrogate block before any surrogate event"
-        );
-        // Three recomputes: 4 lookups / 1 miss, 2 lookups / 0 misses with
-        // one validation, then 2 lookups / 1 miss with a mismatch.
-        r.observe(&Event::SurrogateMiss {
-            t_ns: 0,
-            lookups: 4,
-            misses: 1,
-            validations: 0,
-        });
-        r.observe(&Event::SurrogateMiss {
-            t_ns: 1,
-            lookups: 2,
-            misses: 0,
-            validations: 1,
-        });
-        r.observe(&Event::SurrogateMiss {
-            t_ns: 2,
-            lookups: 2,
-            misses: 1,
-            validations: 1,
-        });
-        r.observe(&Event::SurrogateMismatch {
-            t_ns: 2,
-            mismatches: 1,
-        });
-        let s = r.surrogate();
-        assert_eq!(s.lookups, 8);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.hits(), 6);
-        assert_eq!(s.validations, 2);
-        assert_eq!(s.mismatches, 1);
-        assert_eq!(s.hit_rate(), 0.75);
-        assert_eq!(s.validation_rate(), 0.25);
-        assert_eq!(r.count("surrogate_miss"), 3);
-        assert_eq!(r.count("surrogate_mismatch"), 1);
-        let json = r.summary_json();
-        assert!(
-            json.contains(
-                "\"surrogate\":{\"lookups\":8,\"hits\":6,\"misses\":2,\"hit_rate\":0.75,\
-                 \"validations\":2,\"validation_rate\":0.25,\"mismatches\":1}"
-            ),
-            "{json}"
-        );
-
-        // Merging folds the counters like sequential observation would.
-        let mut merged = Registry::new();
-        merged.merge(&r);
-        merged.merge(&r);
-        assert_eq!(merged.surrogate().lookups, 16);
-        assert_eq!(merged.surrogate().misses, 4);
-        assert_eq!(merged.surrogate().validations, 4);
-        assert_eq!(merged.surrogate().mismatches, 2);
-        assert_eq!(merged.surrogate().hit_rate(), 0.75);
     }
 
     #[test]

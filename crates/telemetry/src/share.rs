@@ -131,30 +131,6 @@ impl NetProbe for ProbeAdapter {
             up,
         });
     }
-
-    fn surrogate_cache(
-        &mut self,
-        t: SimTime,
-        lookups: u64,
-        misses: u64,
-        validations: u64,
-        mismatches: u64,
-    ) {
-        if lookups > 0 {
-            self.0.emit(|| Event::SurrogateMiss {
-                t_ns: t.as_nanos(),
-                lookups,
-                misses,
-                validations,
-            });
-        }
-        if mismatches > 0 {
-            self.0.emit(|| Event::SurrogateMismatch {
-                t_ns: t.as_nanos(),
-                mismatches,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,12 +172,6 @@ mod tests {
         probe.rate_recompute(SimTime::from_nanos(6), 2, 1, 10);
         probe.flow_removed(SimTime::from_nanos(7), 3, true);
         probe.link_state(SimTime::from_nanos(8), 9, false);
-        // Quiet recompute (no lookups, no mismatches): emits nothing.
-        probe.surrogate_cache(SimTime::from_nanos(9), 0, 0, 0, 0);
-        // Lookups without mismatches: one SurrogateMiss event.
-        probe.surrogate_cache(SimTime::from_nanos(10), 4, 1, 2, 0);
-        // A mismatch rides along with its lookups: both events.
-        probe.surrogate_cache(SimTime::from_nanos(11), 2, 0, 2, 1);
         rec.flush();
         let text = buf.text();
         let kinds: Vec<&str> = text
@@ -213,18 +183,8 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            [
-                "flow_add",
-                "rate_recompute",
-                "flow_remove",
-                "link_state",
-                "surrogate_miss",
-                "surrogate_miss",
-                "surrogate_mismatch"
-            ]
+            ["flow_add", "rate_recompute", "flow_remove", "link_state"]
         );
         assert!(text.contains("\"link\":9,\"up\":false"));
-        assert!(text.contains("\"lookups\":4,\"misses\":1,\"validations\":2"));
-        assert!(text.contains("\"mismatches\":1"));
     }
 }

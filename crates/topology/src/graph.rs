@@ -255,8 +255,11 @@ impl Network {
     /// preserved: `LinkIdx(i)` becomes `LinkId(i)`. Uses the environment's
     /// default allocator; sessions with an explicit context use
     /// [`Network::to_flownet_with`].
+    ///
+    /// # Panics
+    /// Panics if `HPN_ALLOCATOR` names no allocator.
     pub fn to_flownet(&self) -> FlowNet {
-        self.to_flownet_with(hpn_sim::AllocatorKind::from_env())
+        self.to_flownet_with(hpn_sim::AllocatorKind::from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Materialise this graph as a fluid network running the given rate

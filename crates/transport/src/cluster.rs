@@ -177,7 +177,6 @@ impl ClusterSim {
     pub fn from_parts(fabric: Arc<Fabric>, router: Arc<Router>, ctx: &SimCtx) -> Self {
         let health = LinkHealth::new(fabric.net.link_count());
         let mut net = fabric.to_flownet_with(ctx.allocator());
-        net.set_surrogate_validate_every(ctx.validate_every());
         let telemetry = ctx.recorder().clone();
         if telemetry.enabled() {
             telemetry.record(&Event::SimStart {
@@ -796,26 +795,13 @@ mod tests {
         let log = EventLog::new();
         let ctx = SimCtx::new()
             .with_recorder(SharedRecorder::new(Box::new(log.clone())))
-            .with_allocator(hpn_sim::AllocatorKind::Parallel);
+            .with_allocator(hpn_sim::AllocatorKind::Dense);
         let cs = ClusterSim::with_ctx(HpnConfig::tiny().build(), HashMode::Polarized, &ctx);
-        assert_eq!(cs.net.allocator_kind(), hpn_sim::AllocatorKind::Parallel);
+        assert_eq!(cs.net.allocator_kind(), hpn_sim::AllocatorKind::Dense);
         assert_eq!(log.len(), 1, "SimStart segment marker emitted");
         // The runtime itself can migrate to a worker thread.
         let moved = std::thread::spawn(move || cs.now()).join().expect("worker");
         assert_eq!(moved, SimTime::ZERO);
-    }
-
-    #[test]
-    fn with_ctx_builds_surrogate_allocator_with_cadence() {
-        let ctx = SimCtx::new()
-            .with_allocator(hpn_sim::AllocatorKind::Surrogate)
-            .with_validate_every(3);
-        let cs = ClusterSim::with_ctx(HpnConfig::tiny().build(), HashMode::Polarized, &ctx);
-        assert_eq!(cs.net.allocator_kind(), hpn_sim::AllocatorKind::Surrogate);
-        assert!(
-            cs.net.surrogate_stats().is_some(),
-            "surrogate sessions expose cache stats"
-        );
     }
 
     const GB: f64 = 8e9; // 1 gigabyte in bits

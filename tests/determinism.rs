@@ -20,75 +20,10 @@ use hpn_bench::gate::{run_gate, FigureStatus, GATE_FIGURES};
 use hpn_bench::runner::{run_plan, variance_json, write_sweep_outputs, RunPlan};
 use hpn_bench::Scale;
 
-mod parallel_allocator {
-    //! The parallel allocator's worker count may only change wall-clock,
-    //! never a byte: a session using [`AllocatorKind::Parallel`] must
-    //! produce bitwise-identical telemetry and iteration timings whether
-    //! the component pool runs 1 worker or 8.
-
-    use hpn::collectives::CommConfig;
-    use hpn::core::{placement, TrainingSession};
-    use hpn::routing::HashMode;
-    use hpn::sim::AllocatorKind;
-    use hpn::telemetry::{JsonlRecorder, SharedBuf, SharedRecorder, SimCtx};
-    use hpn::topology::HpnConfig;
-    use hpn::transport::ClusterSim;
-    use hpn::workload::{ModelSpec, ParallelismPlan, TrainingJob};
-
-    fn session_fingerprint(jobs: &str) -> (Vec<u64>, String) {
-        // `HPN_ALLOC_JOBS` pins the pool size the parallel allocator
-        // spawns. Nothing else in this test binary reads the variable
-        // (figure runs stay on the dense default), so setting it here is
-        // safe under parallel test threads.
-        std::env::set_var("HPN_ALLOC_JOBS", jobs);
-        let buf = SharedBuf::new();
-        let ctx = SimCtx::new()
-            .with_recorder(SharedRecorder::new(Box::new(JsonlRecorder::new(
-                buf.clone(),
-            ))))
-            .with_allocator(AllocatorKind::Parallel);
-        let mut cs = ClusterSim::with_ctx(HpnConfig::medium().build(), HashMode::Polarized, &ctx);
-        let rails = cs.fabric.host_params.rails;
-        let hosts = placement::place_segment_first(&cs.fabric, 8).unwrap();
-        let job = TrainingJob::new(
-            ModelSpec::llama_7b(),
-            ParallelismPlan::new(rails, 2, 4),
-            hosts,
-            rails,
-            256,
-        );
-        let mut session = TrainingSession::new(job, CommConfig::hpn_default());
-        session.run_iterations(&mut cs, 3);
-        std::env::remove_var("HPN_ALLOC_JOBS");
-        let nanos = session.records().iter().map(|r| r.end.as_nanos()).collect();
-        (nanos, buf.text())
-    }
-
-    #[test]
-    fn parallel_allocator_session_is_byte_identical_at_jobs_1_and_8() {
-        let (nanos_1, telemetry_1) = session_fingerprint("1");
-        let (nanos_8, telemetry_8) = session_fingerprint("8");
-        assert_eq!(
-            nanos_1, nanos_8,
-            "iteration timings drifted with the allocator worker count"
-        );
-        assert_eq!(
-            telemetry_1, telemetry_8,
-            "telemetry stream is not byte-identical between 1 and 8 workers"
-        );
-        assert!(
-            telemetry_1.contains("\"ev\":\"rate_recompute\""),
-            "session never exercised the rate allocator"
-        );
-    }
-}
-
-mod surrogate_allocator {
-    //! The memoized surrogate allocator's determinism contract: a
-    //! surrogate session is byte-reproducible run-to-run, indifferent to
-    //! the component pool's worker count (it never uses the pool), and at
-    //! validation cadence 1 its iteration timings match the incremental
-    //! reference exactly.
+mod allocator {
+    //! The rate allocators' determinism contract: a session is
+    //! byte-reproducible run-to-run, and the incremental allocator moves
+    //! every flow exactly as the dense oracle does.
 
     use hpn::collectives::CommConfig;
     use hpn::core::{placement, TrainingSession};
@@ -102,14 +37,13 @@ mod surrogate_allocator {
     /// Run one medium-fabric training session under an explicit context —
     /// no `HPN_ALLOCATOR` environment writes, so this is safe under
     /// parallel test threads.
-    fn session_fingerprint(kind: AllocatorKind, validate_every: u32) -> (Vec<u64>, String) {
+    fn session_fingerprint(kind: AllocatorKind) -> (Vec<u64>, String) {
         let buf = SharedBuf::new();
         let ctx = SimCtx::new()
             .with_recorder(SharedRecorder::new(Box::new(JsonlRecorder::new(
                 buf.clone(),
             ))))
-            .with_allocator(kind)
-            .with_validate_every(validate_every);
+            .with_allocator(kind);
         let mut cs = ClusterSim::with_ctx(HpnConfig::medium().build(), HashMode::Polarized, &ctx);
         let rails = cs.fabric.host_params.rails;
         let hosts = placement::place_segment_first(&cs.fabric, 8).unwrap();
@@ -127,13 +61,13 @@ mod surrogate_allocator {
     }
 
     #[test]
-    fn surrogate_session_is_byte_reproducible() {
-        let (nanos_a, telemetry_a) = session_fingerprint(AllocatorKind::Surrogate, 64);
-        let (nanos_b, telemetry_b) = session_fingerprint(AllocatorKind::Surrogate, 64);
-        assert_eq!(nanos_a, nanos_b, "surrogate iteration timings drifted");
+    fn incremental_session_is_byte_reproducible() {
+        let (nanos_a, telemetry_a) = session_fingerprint(AllocatorKind::Incremental);
+        let (nanos_b, telemetry_b) = session_fingerprint(AllocatorKind::Incremental);
+        assert_eq!(nanos_a, nanos_b, "iteration timings drifted");
         assert_eq!(
             telemetry_a, telemetry_b,
-            "surrogate telemetry stream is not byte-identical across runs"
+            "telemetry stream is not byte-identical across runs"
         );
         assert!(
             telemetry_a.contains("\"ev\":\"rate_recompute\""),
@@ -142,21 +76,37 @@ mod surrogate_allocator {
     }
 
     #[test]
-    fn surrogate_at_cadence_one_times_like_incremental() {
-        // At validate_every=1 every prediction is re-solved exactly, so
-        // flow rates — and therefore completion times and iteration
-        // timings — must match the incremental reference bit for bit.
-        // (The telemetry text differs: surrogate sessions emit extra
-        // surrogate_miss events.)
-        let (nanos_incr, _) = session_fingerprint(AllocatorKind::Incremental, 0);
-        let (nanos_surr, telemetry_surr) = session_fingerprint(AllocatorKind::Surrogate, 1);
+    fn dense_session_times_like_incremental() {
+        // Bitwise-equal rates mean equal completion times, iteration
+        // timings and every event but the recompute-scope counters.
+        let without_scope = |t: &str| -> Vec<String> {
+            t.lines()
+                .filter(|l| !l.contains("\"ev\":\"rate_recompute\""))
+                .map(str::to_owned)
+                .collect()
+        };
+        let (nanos_incr, telemetry_incr) = session_fingerprint(AllocatorKind::Incremental);
+        let (nanos_dense, telemetry_dense) = session_fingerprint(AllocatorKind::Dense);
         assert_eq!(
-            nanos_incr, nanos_surr,
-            "surrogate at cadence 1 drifted from the incremental reference"
+            nanos_incr, nanos_dense,
+            "incremental drifted from the dense oracle"
         );
-        assert!(
-            telemetry_surr.contains("\"ev\":\"surrogate_miss\""),
-            "surrogate session emitted no cache telemetry"
+        assert_eq!(
+            without_scope(&telemetry_incr),
+            without_scope(&telemetry_dense),
+            "telemetry differs beyond the recompute scope"
+        );
+    }
+
+    #[test]
+    fn figure_bytes_do_not_depend_on_the_allocator() {
+        // The figure-gate contract in one cheap figure: the report the
+        // golden hash covers is byte-identical under either allocator.
+        let fig19 = hpn_bench::find("fig19").expect("fig19 is registered");
+        let report = |kind| fig19(&SimCtx::new().with_allocator(kind), hpn_bench::Scale::Quick);
+        assert_eq!(
+            report(AllocatorKind::Incremental).to_json(),
+            report(AllocatorKind::Dense).to_json()
         );
     }
 }
