@@ -95,7 +95,7 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
         (parse(a)?, parse(b)?)
     } else {
         let s = parse(spec)?;
-        (s, s + 1)
+        (s, s.checked_add(1).ok_or("seed overflow")?)
     };
     if lo >= hi {
         return Err(format!("empty seed range '{spec}'"));

@@ -115,6 +115,17 @@ fn reversed_fuzz_seed_range_is_rejected() {
 }
 
 #[test]
+fn last_u64_seed_is_an_overflow_diagnostic() {
+    // The single-seed form denotes the range s..s+1, which does not fit
+    // in u64 for the largest seed.
+    let out = bin()
+        .args(["run", "fig19", "--quick", "--seeds", "18446744073709551615"])
+        .output()
+        .expect("run hpn-experiments");
+    assert_diagnostic_exit(&out, "seed overflow");
+}
+
+#[test]
 fn unknown_fuzz_mutation_is_rejected_with_the_menu() {
     let out = bin()
         .args(["scenario", "fuzz", "--seeds", "1..=1", "--mutate", "bitrot"])

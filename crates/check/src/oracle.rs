@@ -641,8 +641,9 @@ struct LatencyTrace {
 /// Build and run the scenario's full session under an explicit context
 /// with a capturing recorder, then audit iteration records, telemetry
 /// monotonicity, flow add/remove balance, final capacity conservation,
-/// quantile-sketch mass/merge conservation, and the tail estimator's
-/// error bound against the simulated FCT distribution.
+/// quantile-sketch mass/merge conservation, agreement of the telemetry
+/// FCT sketch with the fluid net's, and the tail estimator's error bound
+/// against the simulated FCT distribution.
 fn check_session(sc: &Scenario) -> Result<(usize, usize), Failure> {
     let log = EventLog::new();
     let ctx = SimCtx::new().with_recorder(SharedRecorder::new(Box::new(log.clone())));
@@ -651,6 +652,7 @@ fn check_session(sc: &Scenario) -> Result<(usize, usize), Failure> {
     let (iters, final_flows, latency) = outcome?;
     check_telemetry(&events, final_flows)?;
     check_latency_sketches(&events)?;
+    check_fct_single_source(&events, &latency)?;
     check_estimator(&events, &latency)?;
     Ok((iters, events.len()))
 }
@@ -843,6 +845,29 @@ fn check_latency_sketches(events: &[Event]) -> Result<(), Failure> {
         return Err(fail(
             "sketch_merge_determinism",
             format!("sequential latency summary {a} != segment-merged {b}"),
+        ));
+    }
+    Ok(())
+}
+
+/// The fluid net measures each completion once and telemetry carries that
+/// value on `FlowRemove`: a fresh registry replaying the session's events
+/// must hold exactly the FCT sketch the net built itself. Catches a probe
+/// that misses, duplicates or mis-states a completion.
+fn check_fct_single_source(events: &[Event], lat: &LatencyTrace) -> Result<(), Failure> {
+    let mut reg = Registry::new();
+    replay(events, &mut reg);
+    let fct = &reg.latency().fct;
+    if *fct != lat.sim_fct {
+        return Err(fail(
+            "fct_single_source",
+            format!(
+                "telemetry FCT sketch ({} samples, p99 {:?}) != fluid net's ({} samples, p99 {:?})",
+                fct.count(),
+                fct.quantile(0.99),
+                lat.sim_fct.count(),
+                lat.sim_fct.quantile(0.99)
+            ),
         ));
     }
     Ok(())

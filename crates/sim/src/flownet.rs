@@ -458,7 +458,7 @@ impl FlowNet {
                     .on_flow_removed(h.0, self.paths.get(f.spec.path));
                 self.rates_dirty = true;
                 if let Some(p) = self.probe.as_mut() {
-                    p.flow_removed(now, h.0, false);
+                    p.flow_removed(now, h.0, None);
                 }
                 true
             }
@@ -494,10 +494,13 @@ impl FlowNet {
             let f = self.flows.remove(id).expect("flow disappeared");
             self.allocator
                 .on_flow_removed(id, self.paths.get(f.spec.path));
+            // The one place a flow's completion time is measured: the
+            // sketch and the probe (hence telemetry) share this value.
+            let fct = now - f.started;
             if let Some(p) = self.probe.as_mut() {
-                p.flow_removed(now, id, true);
+                p.flow_removed(now, id, Some(fct));
             }
-            self.fct.record((now - f.started).as_secs_f64());
+            self.fct.record(fct.as_secs_f64());
             done.push(Completion {
                 handle: FlowHandle(id),
                 tag: f.spec.tag,
@@ -632,14 +635,15 @@ impl FlowNet {
 mod tests {
     use super::*;
     use crate::probe::CountingProbe;
+    use crate::time::SimDuration;
     use std::sync::{Arc, Mutex};
 
     const GBPS: f64 = 1e9;
 
-    /// Test probe sharing its counters with the asserting test body.
-    /// `Arc<Mutex<...>>` (not `Rc<RefCell<...>>`) so the probe is `Send`
-    /// like every production probe must be.
-    struct SharedCounting(Arc<Mutex<CountingProbe>>);
+    /// Test probe sharing its counters, and the FCTs it was handed, with
+    /// the asserting test body. `Arc<Mutex<...>>` (not `Rc<RefCell<...>>`)
+    /// so the probe is `Send` like every production probe must be.
+    struct SharedCounting(Arc<Mutex<CountingProbe>>, Arc<Mutex<Vec<SimDuration>>>);
 
     impl NetProbe for SharedCounting {
         fn flow_added(&mut self, t: SimTime, flow: u64, path_links: u32, size_bits: f64) {
@@ -648,8 +652,9 @@ mod tests {
                 .unwrap()
                 .flow_added(t, flow, path_links, size_bits);
         }
-        fn flow_removed(&mut self, t: SimTime, flow: u64, completed: bool) {
-            self.0.lock().unwrap().flow_removed(t, flow, completed);
+        fn flow_removed(&mut self, t: SimTime, flow: u64, fct: Option<SimDuration>) {
+            self.0.lock().unwrap().flow_removed(t, flow, fct);
+            self.1.lock().unwrap().extend(fct);
         }
         fn rate_recompute(&mut self, t: SimTime, f: u64, l: u64, a: u64) {
             self.0.lock().unwrap().rate_recompute(t, f, l, a);
@@ -668,8 +673,9 @@ mod tests {
     #[test]
     fn probe_sees_flow_lifecycle_and_recomputes() {
         let counts = Arc::new(Mutex::new(CountingProbe::default()));
+        let fcts = Arc::new(Mutex::new(Vec::new()));
         let (mut net, l) = net_with_links(&[100.0 * GBPS]);
-        net.set_probe(Some(Box::new(SharedCounting(counts.clone()))));
+        net.set_probe(Some(Box::new(SharedCounting(counts.clone(), fcts.clone()))));
         assert!(net.has_probe());
         let s = spec(&mut net, &l, 100.0 * GBPS, f64::INFINITY, 1);
         let h1 = net.start_flow(SimTime::ZERO, s);
@@ -687,6 +693,11 @@ mod tests {
         assert_eq!(c.flows_completed, 1);
         assert_eq!(c.link_changes, 1);
         assert!(c.recomputes >= 2, "at least kill + completion recomputes");
+        assert_eq!(
+            *fcts.lock().unwrap(),
+            [done[0].finished - done[0].started],
+            "the probe carries the completion's FCT; the kill carries none"
+        );
     }
 
     fn net_with_links(caps: &[f64]) -> (FlowNet, Vec<LinkId>) {

@@ -10,7 +10,7 @@
 //! A net with no probe attached pays nothing: every call site is a single
 //! `Option` check on a field that is `None` by default.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Callbacks fired by [`crate::FlowNet`] at its observable transitions.
 ///
@@ -20,9 +20,12 @@ pub trait NetProbe {
     /// A flow was injected (`flow` is the [`crate::FlowHandle`] counter).
     fn flow_added(&mut self, _t: SimTime, _flow: u64, _path_links: u32, _size_bits: f64) {}
 
-    /// A flow left the net — `completed` is true for natural completion,
-    /// false for a kill (reroute, job teardown).
-    fn flow_removed(&mut self, _t: SimTime, _flow: u64, _completed: bool) {}
+    /// A flow left the net. `fct` is `Some(completion time)` for a natural
+    /// completion — the same duration the net records in
+    /// [`crate::FlowNet::fct_sketch`], measured once in
+    /// [`crate::FlowNet::advance`] — and `None` for a kill (reroute, job
+    /// teardown).
+    fn flow_removed(&mut self, _t: SimTime, _flow: u64, _fct: Option<SimDuration>) {}
 
     /// The allocator recomputed rates; counters are the delta of this one
     /// recompute (see [`crate::RecomputeScope`]).
@@ -44,9 +47,9 @@ pub trait NetProbe {
 pub struct CountingProbe {
     /// `flow_added` callbacks seen.
     pub flows_added: u64,
-    /// `flow_removed` callbacks with `completed == true`.
+    /// `flow_removed` callbacks carrying an FCT.
     pub flows_completed: u64,
-    /// `flow_removed` callbacks with `completed == false`.
+    /// `flow_removed` callbacks without one (kills).
     pub flows_killed: u64,
     /// `rate_recompute` callbacks seen.
     pub recomputes: u64,
@@ -59,8 +62,8 @@ impl NetProbe for CountingProbe {
         self.flows_added += 1;
     }
 
-    fn flow_removed(&mut self, _t: SimTime, _flow: u64, completed: bool) {
-        if completed {
+    fn flow_removed(&mut self, _t: SimTime, _flow: u64, fct: Option<SimDuration>) {
+        if fct.is_some() {
             self.flows_completed += 1;
         } else {
             self.flows_killed += 1;

@@ -38,9 +38,10 @@ pub enum Event {
         t_ns: u64,
         /// Flow handle.
         flow: u64,
-        /// True when the flow completed; false when it was killed (reroute,
-        /// job teardown).
-        completed: bool,
+        /// The flow's completion time in nanoseconds, as measured by the
+        /// fluid net when the flow completed; `None` when it was killed
+        /// (reroute, job teardown). JSONL: `"fct_ns":N` or `"fct_ns":null`.
+        fct_ns: Option<u64>,
     },
     /// The rate allocator recomputed fair shares. Scope counters are the
     /// *delta* of this recompute: how many flows/links it touched and how
@@ -205,13 +206,12 @@ impl Event {
                     json_num(*size_bits)
                 ));
             }
-            Event::FlowRemove {
-                t_ns,
-                flow,
-                completed,
-            } => {
+            Event::FlowRemove { t_ns, flow, fct_ns } => {
                 push_t(&mut s, *t_ns);
-                s.push_str(&format!(",\"flow\":{flow},\"completed\":{completed}"));
+                match fct_ns {
+                    Some(fct) => s.push_str(&format!(",\"flow\":{flow},\"fct_ns\":{fct}")),
+                    None => s.push_str(&format!(",\"flow\":{flow},\"fct_ns\":null")),
+                }
             }
             Event::RateRecompute {
                 t_ns,
@@ -341,6 +341,17 @@ mod tests {
             "{\"ev\":\"rate_recompute\",\"t_ns\":1000000000,\"flows_touched\":12,\
              \"links_touched\":4,\"flows_active\":64}"
         );
+        for (fct_ns, tail) in [(Some(503_317), "503317"), (None, "null")] {
+            let ev = Event::FlowRemove {
+                t_ns: 9,
+                flow: 2,
+                fct_ns,
+            };
+            assert_eq!(
+                ev.to_json(),
+                format!("{{\"ev\":\"flow_remove\",\"t_ns\":9,\"flow\":2,\"fct_ns\":{tail}}}")
+            );
+        }
     }
 
     #[test]

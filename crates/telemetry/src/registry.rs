@@ -101,16 +101,12 @@ pub struct RecomputeMetrics {
 /// error, constant memory — see [`hpn_sim::sketch`]).
 #[derive(Clone, Debug, Default)]
 pub struct LatencyMetrics {
-    /// Flow completion times of *completed* flows, from matching
-    /// `FlowAdd`/`FlowRemove{completed: true}` pairs.
+    /// Flow completion times of *completed* flows: the `fct_ns` the fluid
+    /// net measured and put on each `FlowRemove`.
     pub fct: QuantileSketch,
     /// Per-link queueing delay (`queue_bits / capacity_bps`) from
     /// `LinkSample` events; samples on down links are skipped.
     pub queue_delay: QuantileSketch,
-    /// Flow → `FlowAdd` timestamp, awaiting the matching remove. Flow ids
-    /// restart at each `SimStart` (every segment owns its clock and its
-    /// fluid net), so the map is cleared there.
-    pending: BTreeMap<u64, u64>,
 }
 
 /// The registry: event counts plus per-link and per-flow aggregates.
@@ -135,40 +131,19 @@ impl Registry {
     pub fn observe(&mut self, ev: &Event) {
         *self.counts.entry(ev.kind()).or_insert(0) += 1;
         match *ev {
-            Event::SimStart { .. } => {
-                // A new segment restarts flow ids at 0; in-flight flows of
-                // the previous segment can never complete.
-                self.latency.pending.clear();
-            }
-            Event::FlowAdd {
-                t_ns,
-                flow,
-                size_bits,
-                ..
-            } => {
+            Event::FlowAdd { size_bits, .. } => {
                 self.flows.added += 1;
                 if self.flows.sizes.len() < MAX_RAW_SAMPLES {
                     self.flows.sizes.push(size_bits);
                 }
-                self.latency.pending.insert(flow, t_ns);
             }
-            Event::FlowRemove {
-                t_ns,
-                flow,
-                completed,
-            } => {
-                let start = self.latency.pending.remove(&flow);
-                if completed {
+            Event::FlowRemove { fct_ns, .. } => match fct_ns {
+                Some(fct_ns) => {
                     self.flows.completed += 1;
-                    if let Some(start) = start {
-                        self.latency
-                            .fct
-                            .record(t_ns.saturating_sub(start) as f64 / 1e9);
-                    }
-                } else {
-                    self.flows.killed += 1;
+                    self.latency.fct.record(fct_ns as f64 / 1e9);
                 }
-            }
+                None => self.flows.killed += 1,
+            },
             Event::RateRecompute {
                 flows_touched,
                 links_touched,
@@ -233,10 +208,7 @@ impl Registry {
         self.flows.added += other.flows.added;
         self.flows.completed += other.flows.completed;
         self.flows.killed += other.flows.killed;
-        // Sketches merge exactly (bucket addition). Pending FlowAdds are
-        // per-cell bookkeeping: a cell's unmatched flows were still in
-        // flight when its last segment ended, so they contribute no FCT
-        // either way and are dropped.
+        // Sketches merge exactly (bucket addition).
         self.latency.fct.merge(&other.latency.fct);
         self.latency.queue_delay.merge(&other.latency.queue_delay);
         let room = MAX_RAW_SAMPLES.saturating_sub(self.flows.sizes.len());
@@ -446,12 +418,12 @@ mod tests {
         r.observe(&Event::FlowRemove {
             t_ns: 2,
             flow: 0,
-            completed: true,
+            fct_ns: Some(2),
         });
         r.observe(&Event::FlowRemove {
             t_ns: 2,
             flow: 1,
-            completed: false,
+            fct_ns: None,
         });
         for i in 0..4u64 {
             r.observe(&Event::LinkSample {
@@ -519,7 +491,7 @@ mod tests {
             Event::FlowRemove {
                 t_ns: base_t + 2,
                 flow: link as u64,
-                completed: link % 2 == 0,
+                fct_ns: (link % 2 == 0).then_some(2),
             },
         ]
     }
@@ -571,13 +543,13 @@ mod tests {
     fn fct_is_measured_per_completed_flow() {
         let mut r = Registry::new();
         // Three flows: 1s, 2s, and a kill at 3s (not an FCT).
-        for (flow, add, remove, completed) in [
-            (0u64, 0u64, 1_000_000_000u64, true),
-            (1, 0, 2_000_000_000, true),
-            (2, 0, 3_000_000_000, false),
+        for (flow, remove, fct_ns) in [
+            (0u64, 1_000_000_000u64, Some(1_000_000_000u64)),
+            (1, 2_000_000_000, Some(2_000_000_000)),
+            (2, 3_000_000_000, None),
         ] {
             r.observe(&Event::FlowAdd {
-                t_ns: add,
+                t_ns: 0,
                 flow,
                 path_links: 1,
                 size_bits: 1e9,
@@ -585,41 +557,13 @@ mod tests {
             r.observe(&Event::FlowRemove {
                 t_ns: remove,
                 flow,
-                completed,
+                fct_ns,
             });
         }
         let fct = &r.latency().fct;
         assert_eq!(fct.count(), 2);
         let p999 = fct.quantile(0.999).unwrap();
         assert!((p999 - 2.0).abs() / 2.0 <= fct.alpha() + 1e-9, "{p999}");
-    }
-
-    #[test]
-    fn sim_start_resets_flow_id_space() {
-        let mut r = Registry::new();
-        r.observe(&Event::FlowAdd {
-            t_ns: 5_000_000_000,
-            flow: 0,
-            path_links: 1,
-            size_bits: 1e9,
-        });
-        // New segment: clocks and flow ids restart. A remove for flow 0
-        // at t=1s must not pair with the t=5s add of the old segment
-        // (which would yield a bogus "negative" FCT).
-        r.observe(&Event::SimStart {
-            label: "seg2".into(),
-        });
-        r.observe(&Event::FlowRemove {
-            t_ns: 1_000_000_000,
-            flow: 0,
-            completed: true,
-        });
-        assert_eq!(
-            r.latency().fct.count(),
-            0,
-            "unmatched remove records nothing"
-        );
-        assert_eq!(r.flows().completed, 1, "population counters still tally");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use hpn_sim::{NetProbe, SimTime};
+use hpn_sim::{NetProbe, SimDuration, SimTime};
 
 use crate::event::Event;
 use crate::recorder::{NullRecorder, Recorder};
@@ -101,11 +101,11 @@ impl NetProbe for ProbeAdapter {
         });
     }
 
-    fn flow_removed(&mut self, t: SimTime, flow: u64, completed: bool) {
+    fn flow_removed(&mut self, t: SimTime, flow: u64, fct: Option<SimDuration>) {
         self.0.emit(|| Event::FlowRemove {
             t_ns: t.as_nanos(),
             flow,
-            completed,
+            fct_ns: fct.map(SimDuration::as_nanos),
         });
     }
 
@@ -170,7 +170,7 @@ mod tests {
         let mut probe = rec.net_probe();
         probe.flow_added(SimTime::from_nanos(5), 3, 4, 1e9);
         probe.rate_recompute(SimTime::from_nanos(6), 2, 1, 10);
-        probe.flow_removed(SimTime::from_nanos(7), 3, true);
+        probe.flow_removed(SimTime::from_nanos(7), 3, Some(SimDuration::from_nanos(2)));
         probe.link_state(SimTime::from_nanos(8), 9, false);
         rec.flush();
         let text = buf.text();
@@ -186,5 +186,6 @@ mod tests {
             ["flow_add", "rate_recompute", "flow_remove", "link_state"]
         );
         assert!(text.contains("\"link\":9,\"up\":false"));
+        assert!(text.contains("\"flow\":3,\"fct_ns\":2"));
     }
 }
