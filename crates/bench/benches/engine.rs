@@ -1,12 +1,13 @@
-//! Criterion benches for the simulation engine hot paths: fluid max-min
-//! recompute, event scheduling, ECMP hashing, routing and RePaC search.
+//! Criterion benches for the simulation hot paths: fluid max-min
+//! recompute, allocator churn, ECMP hashing, routing, RePaC search and the
+//! flow lifecycle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use hpn_routing::hash::EcmpHasher;
 use hpn_routing::repac;
 use hpn_routing::{FiveTuple, HashMode, LinkHealth, RouteRequest, Router};
-use hpn_sim::{AllocatorKind, Engine, FlowNet, FlowSpec, SimDuration, SimTime};
+use hpn_sim::{AllocatorKind, FlowNet, FlowSpec, SimDuration, SimTime};
 use hpn_topology::HpnConfig;
 
 fn bench_flownet_recompute(c: &mut Criterion) {
@@ -236,20 +237,6 @@ fn write_alloc_tracking(c: &Criterion) {
     eprintln!("wrote {path}");
 }
 
-fn bench_engine_events(c: &mut Criterion) {
-    c.bench_function("engine_schedule_execute_10k", |b| {
-        b.iter(|| {
-            let mut eng: Engine<u64> = Engine::new();
-            let mut world = 0u64;
-            for i in 0..10_000u64 {
-                eng.schedule_at(SimTime::from_nanos(i), |w: &mut u64, _| *w += 1);
-            }
-            eng.run(&mut world);
-            assert_eq!(world, 10_000);
-        });
-    });
-}
-
 fn bench_hashing(c: &mut Criterion) {
     let t = FiveTuple::rdma(1, 0, 2, 0, 51234);
     let pol = EcmpHasher::new(HashMode::Polarized);
@@ -326,7 +313,6 @@ criterion_group!(
     benches,
     bench_flownet_recompute,
     bench_allocator_churn,
-    bench_engine_events,
     bench_hashing,
     bench_routing,
     bench_fabric_build,

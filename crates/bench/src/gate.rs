@@ -8,10 +8,11 @@
 //! PR *intends* it to, in which case the golden file is regenerated with
 //! `hpn-experiments gate --quick --update` and reviewed in the diff.
 //!
-//! PR 1 established that the dense and incremental allocators produce
-//! byte-identical figures, so the golden file stores *one* hash per figure
-//! and CI runs the gate under both `HPN_ALLOCATOR` settings against the
-//! same goldens — the gate doubles as an allocator-equivalence check.
+//! The dense and incremental allocators produce byte-identical figures, so
+//! the golden file stores *one* hash per figure. The CLI gate always runs
+//! the incremental allocator; `tests/determinism.rs` re-runs every gated
+//! figure under the dense reference oracle against the same goldens, so
+//! the goldens double as an allocator-equivalence check.
 //!
 //! Each gate run also writes a deterministic [`RunManifest`] (and, per
 //! figure, a JSONL telemetry stream) into the output directory, so a CI
@@ -29,7 +30,7 @@ use hpn_telemetry::{
 
 use crate::report::Report;
 use crate::runner::{run_plan, scale_label, RunPlan};
-use crate::{Scale, SimCtx};
+use crate::Scale;
 
 /// The figures CI gates on: the paper's evaluation section (§6).
 pub const GATE_FIGURES: [&str; 7] = [
@@ -105,14 +106,6 @@ impl GateOutcome {
     }
 }
 
-/// The allocator label recorded in manifests and printed by the gate.
-pub fn allocator_label() -> &'static str {
-    match SimCtx::new().allocator() {
-        AllocatorKind::Dense => "dense",
-        AllocatorKind::Incremental => "incremental",
-    }
-}
-
 /// Run `ids` with telemetry enabled (on up to `jobs` worker threads),
 /// fingerprint each report, and compare against (or, with `update`,
 /// rewrite) the golden file. When `out_dir` is given, a `manifest.json`
@@ -134,7 +127,7 @@ pub fn run_gate(
     }
     // Experiments carry their own fixed seeds; the manifest records the
     // harness-level identity (allocator, scale, figure set).
-    let mut manifest = RunManifest::new(0, allocator_label(), scale_label(scale));
+    let mut manifest = RunManifest::new(0, AllocatorKind::default().name(), scale_label(scale));
     manifest.set_param("gate_figures", ids.join(","));
     manifest.set_param("seed_policy", "fixed per experiment");
 

@@ -46,11 +46,10 @@
 //! inclusive) sweeps root seeds: one manifest per seed plus an aggregated
 //! `variance.json`.
 //!
-//! `HPN_ALLOCATOR=dense|incremental` selects the rate allocator (default
-//! incremental). Any other value, and any flag not listed above, exits 2
-//! before anything runs.
-
-use std::io::Write as _;
+//! Every run uses the incremental rate allocator; the dense reference
+//! oracle runs from the test suite. A set `HPN_ALLOCATOR` (the removed
+//! allocator knob), and any flag not listed above, exits 2 before anything
+//! runs.
 
 use hpn_bench::{find, registry, Scale, SimCtx};
 use hpn_sim::AllocatorKind;
@@ -108,8 +107,13 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = AllocatorKind::from_env() {
-        eprintln!("{e}");
+    // A stale `HPN_ALLOCATOR=dense` must not silently run incremental.
+    if std::env::var_os("HPN_ALLOCATOR").is_some() {
+        eprintln!(
+            "HPN_ALLOCATOR is no longer read: every run uses the incremental allocator, \
+             and the dense oracle runs from `cargo test --release --test determinism -- \
+             --include-ignored`; unset it"
+        );
         std::process::exit(2);
     }
     if let Some(bad) = args
@@ -338,11 +342,11 @@ fn main() {
 }
 
 fn gate(scale: Scale, update: bool, out_dir: Option<&str>, jobs: usize) {
-    use hpn_bench::gate::{allocator_label, run_gate, FigureStatus, GATE_FIGURES};
+    use hpn_bench::gate::{run_gate, FigureStatus, GATE_FIGURES};
     eprintln!(
         "gate: {} figures, allocator={}, {:?}, jobs={jobs}{}",
         GATE_FIGURES.len(),
-        allocator_label(),
+        AllocatorKind::default().name(),
         scale,
         if update { ", updating goldens" } else { "" }
     );
@@ -506,7 +510,7 @@ fn bench_regression(baseline: Option<&str>, current: Option<&str>, threshold: f6
 /// output directory is given — write per-seed manifests, telemetry streams
 /// and an aggregated cross-seed `variance.json`.
 fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_dir: Option<&str>) {
-    use hpn_bench::gate::{allocator_label, GATE_FIGURES};
+    use hpn_bench::gate::GATE_FIGURES;
     use hpn_bench::runner::{run_plan, variance_json, write_sweep_outputs, RunPlan};
 
     let figures: Vec<&str> = if ids.is_empty() {
@@ -529,7 +533,7 @@ fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_d
         plan.figures.len(),
         plan.seeds.len(),
         plan.figures.len() * plan.seeds.len(),
-        allocator_label(),
+        AllocatorKind::default().name(),
         scale,
     );
 
@@ -590,14 +594,13 @@ fn scenario_run(
     out_dir: Option<&str>,
     latency: hpn_bench::scenario_cli::LatencyMode,
 ) {
-    use hpn_bench::gate::allocator_label;
     use hpn_bench::runner::{run_cells, write_sweep_outputs, Cell, RunPlan};
     use hpn_bench::scenario_cli;
 
     let mut scenarios = Vec::new();
     let mut bad = false;
     for p in files {
-        match scenario_cli::load(std::path::Path::new(p)).and_then(|sc| sc.check().map(|()| sc)) {
+        match scenario_cli::load(std::path::Path::new(p)) {
             Ok(sc) => scenarios.push(sc),
             Err(e) => {
                 eprintln!("{e}");
@@ -622,7 +625,7 @@ fn scenario_run(
     eprintln!(
         "scenario run: {} cell(s), allocator={}, {:?}, jobs={jobs}",
         scenarios.len(),
-        allocator_label(),
+        AllocatorKind::default().name(),
         scale,
     );
 
@@ -704,8 +707,7 @@ fn scenario_fuzz(
         let mut loaded = Vec::new();
         let mut bad = false;
         for p in files {
-            match scenario_cli::load(std::path::Path::new(p)).and_then(|sc| sc.check().map(|()| sc))
-            {
+            match scenario_cli::load(std::path::Path::new(p)) {
                 Ok(sc) => {
                     let seed = seed_of(&sc).unwrap_or(0);
                     loaded.push(Item::File(p.clone(), Box::new(sc), seed));
@@ -850,8 +852,7 @@ fn scenario_fuzz_serve(files: &[String], jobs: usize, seeds: Option<Vec<u64>>) {
     } else {
         let mut bad = false;
         for p in files {
-            match scenario_cli::load(std::path::Path::new(p)).and_then(|sc| sc.check().map(|()| sc))
-            {
+            match scenario_cli::load(std::path::Path::new(p)) {
                 Ok(sc) => cases.push((p.clone(), sc)),
                 Err(e) => {
                     eprintln!("{e}");
@@ -956,7 +957,9 @@ fn topo(which: &str) {
 }
 
 fn write_out(path: &str, blob: &str) {
-    let mut f = std::fs::File::create(path).expect("create json output");
-    f.write_all(blob.as_bytes()).expect("write json output");
+    if let Err(e) = std::fs::write(path, blob) {
+        eprintln!("writing {path} failed: {e}");
+        std::process::exit(2);
+    }
     eprintln!("wrote {path}");
 }

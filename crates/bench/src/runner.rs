@@ -33,11 +33,12 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use hpn_sim::AllocatorKind;
 use hpn_telemetry::{
     replay, Event, EventLog, JsonlRecorder, Recorder, Registry, RunManifest, SharedRecorder, SimCtx,
 };
 
-use crate::gate::{allocator_label, figure_fingerprint};
+use crate::gate::figure_fingerprint;
 use crate::pool;
 use crate::report::{json_num, json_str, Report};
 use crate::{find, ExperimentFn, Scale};
@@ -155,12 +156,12 @@ impl Recorder for CellSink {
 
 /// The `SimStart` label of a cell — same format the sequential gate has
 /// always written, so parallel JSONL streams are byte-identical.
-fn cell_label(cell: &Cell, scale: Scale) -> String {
+fn cell_label(cell: &Cell, scale: Scale, allocator: AllocatorKind) -> String {
     format!(
         "{} seed={} allocator={} scale={}",
         cell.figure,
         cell.seed.unwrap_or(0),
-        allocator_label(),
+        allocator.name(),
         scale_label(scale)
     )
 }
@@ -190,17 +191,16 @@ pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
     let start = std::time::Instant::now();
     assert!(log.is_empty(), "cell log must start empty");
     let registry = Arc::new(Mutex::new(Registry::new()));
-    let rec = SharedRecorder::new(Box::new(CellSink {
+    let mut ctx = SimCtx::new().with_recorder(SharedRecorder::new(Box::new(CellSink {
         log: log.clone(),
         registry: registry.clone(),
-    }));
-    rec.record(&Event::SimStart {
-        label: cell_label(cell, scale),
-    });
-    let mut ctx = SimCtx::new().with_recorder(rec);
+    })));
     if let Some(root) = cell.seed {
         ctx = ctx.with_root_seed(root);
     }
+    ctx.recorder().record(&Event::SimStart {
+        label: cell_label(cell, scale, ctx.allocator()),
+    });
     let report = f(&ctx, scale);
     drop(ctx);
     let events = log.take();
@@ -262,7 +262,7 @@ pub fn write_sweep_outputs(
     for &seed in &plan.seeds {
         let mut manifest = RunManifest::new(
             seed.unwrap_or(0),
-            allocator_label(),
+            AllocatorKind::default().name(),
             scale_label(plan.scale),
         );
         manifest.set_param("figures", plan.figures.join(","));

@@ -81,12 +81,15 @@ fn rel_err_row(est: &QuantileSketch, sim: &QuantileSketch) -> String {
     )
 }
 
-/// Load and parse a scenario file; every diagnostic names the file.
+/// Load, parse and check ([`Scenario::check`]) a scenario file; every
+/// diagnostic, build-time ones included, names the file.
 pub fn load(path: &Path) -> Result<Scenario, ScenarioError> {
     let file = path.display().to_string();
     let text = std::fs::read_to_string(path)
         .map_err(|e| ScenarioError::general(format!("cannot read scenario: {e}")).in_file(&file))?;
-    Scenario::parse_toml(&text).map_err(|e| e.in_file(&file))
+    let sc = Scenario::parse_toml(&text).map_err(|e| e.in_file(&file))?;
+    sc.check().map_err(|e| e.in_file(&file))?;
+    Ok(sc)
 }
 
 /// Pre-schedule the fault plan on the simulator's own timeline, so faults
@@ -374,7 +377,7 @@ fn report_from_session(
 pub fn check(paths: &[String]) -> bool {
     let mut ok = true;
     for p in paths {
-        match load(Path::new(p)).and_then(|sc| sc.check().map(|()| sc)) {
+        match load(Path::new(p)) {
             Ok(sc) => println!("ok: {p} (scenario '{}')", sc.name),
             Err(e) => {
                 eprintln!("{e}");

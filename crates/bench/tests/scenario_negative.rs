@@ -106,6 +106,49 @@ fn unreadable_scenario_file_is_a_diagnostic_not_a_panic() {
 }
 
 #[test]
+fn build_time_scenario_errors_name_the_file() {
+    // The file parses; the fabric builder rejects it. With several files
+    // on one command line, the diagnostic must say which one failed.
+    let bad = write_scenario(
+        "zero_cores.toml",
+        "name = \"zero-cores\"\n\
+         \n\
+         [topology]\n\
+         kind = \"hpn\"\n\
+         preset = \"tiny\"\n\
+         cores_per_plane = 0\n",
+    );
+    let good =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios/tiny_smoke.toml");
+    let out = bin()
+        .args(["scenario", "check"])
+        .arg(&bad)
+        .arg(&good)
+        .output()
+        .expect("run hpn-experiments");
+    assert_diagnostic_exit(&out, "[topology.cores_per_plane] must be at least 1");
+    let err = stderr_of(&out);
+    assert!(
+        err.starts_with(&format!("{}: ", bad.display())),
+        "diagnostic should start with the failing file: {err}"
+    );
+}
+
+#[test]
+fn unwritable_json_path_is_a_diagnostic_not_a_panic() {
+    let out = bin()
+        .args([
+            "fig19",
+            "--quick",
+            "--json",
+            "/nonexistent/hpn-no-such-dir/x.json",
+        ])
+        .output()
+        .expect("run hpn-experiments");
+    assert_diagnostic_exit(&out, "/nonexistent/hpn-no-such-dir/x.json");
+}
+
+#[test]
 fn reversed_fuzz_seed_range_is_rejected() {
     let out = bin()
         .args(["scenario", "fuzz", "--seeds", "9..=1"])
@@ -145,19 +188,26 @@ fn unknown_scenario_subcommand_lists_the_valid_ones() {
 
 #[test]
 fn unknown_allocator_names_are_rejected_at_startup() {
-    // Stale names of removed allocators and typos must not silently run
-    // the default allocator.
-    for bad in ["surrogate", "parallel", "surogate", ""] {
+    // The allocator knob is gone: any value — a stale `dense`, the names of
+    // removed allocators, typos — must not silently run incremental.
+    for bad in [
+        "dense",
+        "incremental",
+        "surrogate",
+        "parallel",
+        "surogate",
+        "",
+    ] {
         let out = bin()
             .env("HPN_ALLOCATOR", bad)
             .arg("list")
             .output()
             .expect("run hpn-experiments");
-        assert_diagnostic_exit(&out, "accepted values: dense, incremental");
+        assert_diagnostic_exit(&out, "HPN_ALLOCATOR is no longer read");
         assert!(out.stdout.is_empty(), "nothing runs before the check");
     }
     let out = bin()
-        .env("HPN_ALLOCATOR", "dense")
+        .env_remove("HPN_ALLOCATOR")
         .arg("list")
         .output()
         .expect("run hpn-experiments");

@@ -557,7 +557,7 @@ fn build_faults(fabric: &Fabric, f: &FaultsSpec) -> Result<Vec<FaultEvent>, Scen
 impl Scenario {
     /// Build the scenario into a runnable [`Session`], or explain exactly
     /// which field makes it unbuildable. Uses the inert default context
-    /// (no telemetry, `HPN_ALLOCATOR` allocator); runs that record events
+    /// (no telemetry, incremental allocator); runs that record events
     /// or pin an allocator use [`Scenario::build_with`].
     pub fn build(&self) -> Result<Session, ScenarioError> {
         self.build_with(&SimCtx::default())

@@ -50,20 +50,12 @@ pub enum AllocatorKind {
 }
 
 impl AllocatorKind {
-    /// Resolve from the `HPN_ALLOCATOR` environment variable: unset means
-    /// incremental, `dense` or `incremental` name their allocator, and any
-    /// other value is an error naming the accepted values. The experiment
-    /// harness uses this to regenerate figures under either allocator
-    /// without threading a parameter through every experiment.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("HPN_ALLOCATOR").as_deref() {
-            Err(std::env::VarError::NotPresent) => Ok(AllocatorKind::Incremental),
-            Ok("dense") => Ok(AllocatorKind::Dense),
-            Ok("incremental") => Ok(AllocatorKind::Incremental),
-            Ok(v) => Err(format!(
-                "HPN_ALLOCATOR={v:?} is not an allocator; accepted values: dense, incremental"
-            )),
-            Err(e) => Err(format!("HPN_ALLOCATOR: {e}")),
+    /// The allocator's name as run labels and manifests print it
+    /// (`allocator=incremental`).
+    pub fn name(self) -> &'static str {
+        match self {
+            AllocatorKind::Dense => "dense",
+            AllocatorKind::Incremental => "incremental",
         }
     }
 

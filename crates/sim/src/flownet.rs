@@ -174,13 +174,10 @@ impl Default for FlowNet {
 
 impl FlowNet {
     /// An empty network at time zero, using the default allocator
-    /// ([`AllocatorKind::Incremental`], overridable via the `HPN_ALLOCATOR`
-    /// environment variable — see [`AllocatorKind::from_env`]).
-    ///
-    /// # Panics
-    /// Panics if `HPN_ALLOCATOR` names no allocator.
+    /// ([`AllocatorKind::Incremental`]); [`FlowNet::with_allocator`] picks
+    /// another one.
     pub fn new() -> Self {
-        Self::with_allocator(AllocatorKind::from_env().unwrap_or_else(|e| panic!("{e}")))
+        Self::with_allocator(AllocatorKind::default())
     }
 
     /// An empty network using the given rate allocator.

@@ -1,12 +1,10 @@
-//! # hpn-sim — discrete-event engine and fluid-flow network model
+//! # hpn-sim — simulated time and the fluid-flow network model
 //!
 //! This crate is the simulation substrate for the reproduction of
 //! *Alibaba HPN: A Data Center Network for Large Language Model Training*
 //! (SIGCOMM 2024). It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`Engine`] — a deterministic discrete-event scheduler generic over a
-//!   user-supplied world type,
 //! * [`FlowNet`] — a fluid (rate-based) network model with progressive-filling
 //!   max-min fair bandwidth allocation, per-link queue integration and
 //!   flow-completion tracking. Rate allocation sits behind the
@@ -39,7 +37,6 @@
 
 pub mod alloc;
 pub mod arena;
-pub mod engine;
 pub mod flownet;
 mod fxhash;
 pub mod packetval;
@@ -57,7 +54,6 @@ pub mod units;
 
 pub use alloc::{AllocatorKind, RateAllocator};
 pub use arena::{Flow, FlowArena};
-pub use engine::{Engine, EventId};
 pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState};
 pub use path::{PathId, PathInterner, PathSet};
 pub use probe::NetProbe;

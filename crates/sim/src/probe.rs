@@ -1,4 +1,4 @@
-//! Observation hooks for the fluid net (and the event engine).
+//! Observation hooks for the fluid net.
 //!
 //! `hpn-sim` sits at the bottom of the workspace dependency graph, so it
 //! cannot depend on the telemetry crate. Instead it exposes [`NetProbe`]:

@@ -101,7 +101,7 @@ impl SimDuration {
     /// Construct from fractional seconds, rounding to the nearest nanosecond.
     ///
     /// Infinite or out-of-range values saturate to [`SimDuration::MAX`],
-    /// which the event engine treats as "never". This arises naturally when
+    /// which schedulers treat as "never". This arises naturally when
     /// a flow currently has zero allocated rate and its completion horizon
     /// is therefore unbounded.
     pub fn from_secs_f64(s: f64) -> Self {

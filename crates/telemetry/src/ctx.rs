@@ -8,8 +8,10 @@
 //! * **Where does randomness come from?** An optional root seed, split
 //!   per call site with [`hpn_sim::split_seed`] (replaces the experiment
 //!   harness's thread-local `SweepScope`).
-//! * **Which rate allocator runs?** An [`AllocatorKind`] (previously read
-//!   from the environment deep inside `FlowNet::new`).
+//! * **Which rate allocator runs?** An [`AllocatorKind`]: always the
+//!   default incremental one, except where a test pins the dense reference
+//!   oracle with [`SimCtx::with_allocator`]. No layer reads the choice from
+//!   the environment.
 //!
 //! A `SimCtx` is constructed once per session — by the experiment runner
 //! for each cell, by a test for itself — and threaded **explicitly**
@@ -20,10 +22,9 @@
 //! worker thread (static assertions in the transport and scenario crates
 //! hold this invariant).
 //!
-//! The default context is inert and environment-compatible: null recorder,
-//! no root seed (call sites fall back to their fixed per-site seeds), and
-//! the allocator the `HPN_ALLOCATOR` variable names. `SimCtx::default()`
-//! therefore behaves exactly like the old ambient defaults.
+//! The default context is inert: null recorder, no root seed (call sites
+//! fall back to their fixed per-site seeds), and the incremental
+//! allocator.
 
 use hpn_sim::{split_seed, AllocatorKind};
 
@@ -39,17 +40,12 @@ pub struct SimCtx {
 }
 
 impl Default for SimCtx {
-    /// Null recorder, no sweep root, allocator from `HPN_ALLOCATOR` — the
-    /// exact behaviour sessions got from the old ambient defaults.
-    ///
-    /// # Panics
-    /// Panics if `HPN_ALLOCATOR` names no allocator (`hpn-experiments`
-    /// rejects such a value at startup instead).
+    /// Null recorder, no sweep root, the default (incremental) allocator.
     fn default() -> Self {
         SimCtx {
             recorder: SharedRecorder::null(),
             root_seed: None,
-            allocator: AllocatorKind::from_env().unwrap_or_else(|e| panic!("{e}")),
+            allocator: AllocatorKind::default(),
         }
     }
 }
@@ -74,7 +70,8 @@ impl SimCtx {
         self
     }
 
-    /// Pin the rate allocator (instead of the `HPN_ALLOCATOR` default).
+    /// Pin the rate allocator (instead of the incremental default) — how
+    /// tests run a session under the dense reference oracle.
     pub fn with_allocator(mut self, allocator: AllocatorKind) -> Self {
         self.allocator = allocator;
         self

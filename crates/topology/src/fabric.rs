@@ -178,18 +178,6 @@ impl Fabric {
         self.net
             .out_links_to(tor, |k| matches!(k, NodeKind::Agg { .. }))
     }
-
-    /// Build the fluid-model twin of this fabric's graph, using the
-    /// environment's default allocator.
-    pub fn to_flownet(&self) -> hpn_sim::FlowNet {
-        self.net.to_flownet()
-    }
-
-    /// Build the fluid-model twin of this fabric's graph running the given
-    /// rate allocator (a session's `SimCtx::allocator()`).
-    pub fn to_flownet_with(&self, kind: hpn_sim::AllocatorKind) -> hpn_sim::FlowNet {
-        self.net.to_flownet_with(kind)
-    }
 }
 
 /// Create one host's internal hardware (GPUs, NVSwitch, NICs, PCIe and

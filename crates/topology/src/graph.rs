@@ -251,22 +251,11 @@ impl Network {
             .collect()
     }
 
-    /// Materialise this graph as a fluid network. Link indices are
-    /// preserved: `LinkIdx(i)` becomes `LinkId(i)`. Uses the environment's
-    /// default allocator; sessions with an explicit context use
-    /// [`Network::to_flownet_with`].
-    ///
-    /// # Panics
-    /// Panics if `HPN_ALLOCATOR` names no allocator.
-    pub fn to_flownet(&self) -> FlowNet {
-        self.to_flownet_with(hpn_sim::AllocatorKind::from_env().unwrap_or_else(|e| panic!("{e}")))
-    }
-
     /// Materialise this graph as a fluid network running the given rate
     /// allocator (the `SimCtx::allocator()` of the session under
     /// construction). Link indices are preserved: `LinkIdx(i)` becomes
     /// `LinkId(i)`.
-    pub fn to_flownet_with(&self, kind: hpn_sim::AllocatorKind) -> FlowNet {
+    pub fn to_flownet(&self, kind: hpn_sim::AllocatorKind) -> FlowNet {
         let mut net = FlowNet::with_allocator(kind);
         for l in &self.links {
             let id = net.add_link(l.cap_bps, l.buffer_bits);
@@ -368,7 +357,7 @@ mod tests {
     #[test]
     fn to_flownet_preserves_indices() {
         let (net, nic, tor0, _) = tiny();
-        let mut fnet = net.to_flownet();
+        let mut fnet = net.to_flownet(hpn_sim::AllocatorKind::default());
         assert_eq!(fnet.link_count(), net.link_count());
         let l = net.link_between(nic, tor0).unwrap();
         assert_eq!(fnet.link(l.flow_link()).nominal_bps, 200e9);

@@ -6,7 +6,7 @@
 //! inversion-of-control: the application implements [`ClusterApp`] and the
 //! runtime calls back on message completions and timers. Events are popped
 //! before callbacks run, so callbacks receive `&mut ClusterSim` and can
-//! freely send more messages — the same pattern the engine crate uses.
+//! freely send more messages.
 //!
 //! ## Failure semantics (§4.2 + §9.3)
 //!
@@ -146,7 +146,7 @@ pub struct ClusterSim {
 
 impl ClusterSim {
     /// Build a runtime over a fabric with the inert default context: no
-    /// telemetry, allocator from `HPN_ALLOCATOR`. Shorthand for
+    /// telemetry, the default (incremental) allocator. Shorthand for
     /// [`ClusterSim::with_ctx`] with `&SimCtx::default()` — sessions that
     /// record telemetry or pin an allocator build one explicitly.
     pub fn new(fabric: Fabric, mode: HashMode) -> Self {
@@ -176,7 +176,7 @@ impl ClusterSim {
     /// and cold construction are indistinguishable in telemetry.
     pub fn from_parts(fabric: Arc<Fabric>, router: Arc<Router>, ctx: &SimCtx) -> Self {
         let health = LinkHealth::new(fabric.net.link_count());
-        let mut net = fabric.to_flownet_with(ctx.allocator());
+        let mut net = fabric.net.to_flownet(ctx.allocator());
         let telemetry = ctx.recorder().clone();
         if telemetry.enabled() {
             telemetry.record(&Event::SimStart {

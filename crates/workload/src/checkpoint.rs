@@ -80,10 +80,10 @@ pub fn frontend_save_time(
     train_hosts: usize,
     bytes_per_host: f64,
 ) -> SimDuration {
-    use hpn_sim::{FlowNet, FlowSpec, SimTime};
+    use hpn_sim::{AllocatorKind, FlowNet, FlowSpec, SimTime};
     assert!(train_hosts <= fe.train_nics.len(), "more savers than hosts");
     assert!(!fe.storage.is_empty(), "no storage cluster");
-    let mut net: FlowNet = fe.net.to_flownet();
+    let mut net: FlowNet = fe.net.to_flownet(AllocatorKind::default());
     // Each host stripes its checkpoint over both NIC ports and over the
     // storage hosts round-robin; each stripe is an independent flow whose
     // path is hand-assembled (host → ToR → storage via the shared Agg pool

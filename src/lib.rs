@@ -3,7 +3,7 @@
 //! Umbrella crate re-exporting the whole workspace so downstream users can
 //! depend on a single crate:
 //!
-//! * [`sim`] — discrete-event engine and fluid flow network,
+//! * [`sim`] — simulated time and the fluid flow network,
 //! * [`topology`] — HPN, DCN+, fat-tree, SuperPod and frontend fabrics,
 //! * [`routing`] — ECMP hashing, BGP host routes, dual-ToR control planes,
 //! * [`transport`] — RDMA-style connections over bonded dual-port NICs,
