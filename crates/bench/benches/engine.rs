@@ -201,6 +201,58 @@ fn bench_allocator_churn(c: &mut Criterion) {
         );
         },
     );
+
+    // Hot-set turnover: n links, half of them busy, each busy link
+    // carrying exactly one single-hop flow. Every event kills one link's
+    // only flow (the link goes idle) and starts a flow on a long-idle
+    // link, so every recompute changes the membership of a standing hot
+    // set of n/2 links. The pod geometry above never does: all its links
+    // stay busy through the churn.
+    group.bench_with_input(BenchmarkId::new("incremental_turnover", n), &n, |b, &n| {
+        let mut net = FlowNet::with_allocator(AllocatorKind::Incremental);
+        let paths: Vec<_> = (0..n)
+            .map(|_| {
+                let l = net.add_link(400e9, 1e7);
+                net.intern_path(&[l])
+            })
+            .collect();
+        let spec_on = |link: usize| FlowSpec {
+            path: paths[link],
+            size_bits: 1e15,
+            demand_bps: 200e9,
+            tag: link as u64,
+        };
+        // Slot k's flow sits on link busy[k]; links queue up in `idle`
+        // in the order they went idle.
+        let mut busy: Vec<usize> = (0..n / 2).collect();
+        let mut idle: std::collections::VecDeque<usize> = (n / 2..n).collect();
+        let mut handles: Vec<_> = busy
+            .iter()
+            .map(|&link| net.start_flow(SimTime::ZERO, spec_on(link)))
+            .collect();
+        net.recompute_if_dirty();
+        let warm = net.alloc_scope();
+        let mut i = 0usize;
+        b.iter(|| {
+            for _ in 0..CHURN_BATCH {
+                let slot = i % handles.len();
+                net.kill_flow(SimTime::ZERO, handles[slot]);
+                idle.push_back(busy[slot]);
+                busy[slot] = idle.pop_front().expect("half the links are idle");
+                handles[slot] = net.start_flow(SimTime::ZERO, spec_on(busy[slot]));
+                i += 1;
+            }
+            net.recompute_if_dirty();
+        });
+        let scope = net.alloc_scope().since(&warm);
+        eprintln!(
+            "allocator/incremental_turnover/{n}: {:.1} flows + {:.1} links touched per event \
+             ({:.4} of active flows)",
+            scope.mean_flows_touched(),
+            scope.mean_links_touched(),
+            scope.touched_fraction(),
+        );
+    });
     group.finish();
     write_alloc_tracking(c);
 }

@@ -68,6 +68,90 @@ impl AllocatorKind {
     }
 }
 
+/// Marks a link that is not in a [`HotSet`].
+const NOT_HOT: u32 = u32::MAX;
+
+/// The links that carry flows or hold queue, as an unordered indexed set.
+///
+/// `members` lists the hot links in no particular order; `slot[l]` is link
+/// `l`'s index in `members`, or `NOT_HOT`. Insert and remove are O(1):
+/// remove swap-removes and re-points the slot of the member moved into the
+/// hole. The slot table grows on insert, so adding a link to the network
+/// costs nothing here.
+#[derive(Debug, Default)]
+pub struct HotSet {
+    members: Vec<u32>,
+    slot: Vec<u32>,
+}
+
+impl HotSet {
+    /// The hot links, in no particular order.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.members
+    }
+
+    /// Make `link` hot; a no-op if it already is.
+    pub fn insert(&mut self, link: u32) {
+        let li = link as usize;
+        if li >= self.slot.len() {
+            self.slot.resize(li + 1, NOT_HOT);
+        }
+        if self.slot[li] == NOT_HOT {
+            self.slot[li] = self.members.len() as u32;
+            self.members.push(link);
+        }
+    }
+
+    /// Make `link` not hot; a no-op if it is not.
+    pub fn remove(&mut self, link: u32) {
+        if let Some(s) = self.slot.get_mut(link as usize) {
+            if *s != NOT_HOT {
+                let i = std::mem::replace(s, NOT_HOT);
+                self.take(i as usize);
+            }
+        }
+    }
+
+    /// Visit every hot link once, in no particular order, and drop those
+    /// for which `keep` returns false.
+    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        let mut i = 0;
+        while i < self.members.len() {
+            let link = self.members[i];
+            if keep(link) {
+                i += 1;
+            } else {
+                // The member swapped into `i` has not been visited yet.
+                self.slot[link as usize] = NOT_HOT;
+                self.take(i);
+            }
+        }
+    }
+
+    /// Swap-remove the member at index `i` (whose slot the caller already
+    /// cleared) and re-point the slot of the member moved into its place.
+    fn take(&mut self, i: usize) {
+        self.members.swap_remove(i);
+        if let Some(&moved) = self.members.get(i) {
+            self.slot[moved as usize] = i as u32;
+        }
+    }
+
+    /// The members in ascending order, after asserting that every
+    /// member's slot points back at it and no other slot is set.
+    #[cfg(test)]
+    pub(crate) fn sorted_checked(&self) -> Vec<u32> {
+        for (i, &l) in self.members.iter().enumerate() {
+            assert_eq!(self.slot[l as usize], i as u32, "slot of hot link {l}");
+        }
+        let set = self.slot.iter().filter(|&&s| s != NOT_HOT).count();
+        assert_eq!(set, self.members.len(), "slots set for non-members");
+        let mut sorted = self.members.clone();
+        sorted.sort_unstable();
+        sorted
+    }
+}
+
 /// Mutable view of the network state a recompute operates on. Borrows are
 /// split out of `FlowNet` so allocators (stored inside the net) can work on
 /// the rest of it.
@@ -78,10 +162,10 @@ pub struct AllocCtx<'a> {
     pub links: &'a mut [LinkState],
     /// Resolves each flow spec's `PathId` to its link sequence.
     pub paths: &'a PathInterner,
-    /// Links that carry flows or hold queue (sorted, deduplicated); the
-    /// integration step only walks these. After a recompute it must be
-    /// exactly {links with active flows or non-empty queue}.
-    pub hot_links: &'a mut Vec<u32>,
+    /// Links that carry flows or hold queue (unordered); the integration
+    /// step only walks these. After a recompute it must be exactly {links
+    /// with active flows or non-empty queue}.
+    pub hot_links: &'a mut HotSet,
     /// Recompute-scope counters to record into.
     pub scope: &'a mut RecomputeScope,
 }
@@ -435,48 +519,26 @@ fn refresh_link_aggregates_rows(
 }
 
 /// Bring the hot set up to date after a recompute that refreshed the
-/// aggregates of `touched_sorted` (ascending link indices).
+/// aggregates of `touched` (link indices, any order).
 ///
 /// Only touched links can have changed hot-membership since the last
-/// recompute, so only those are inspected. A link leaves the hot set only
+/// recompute, so only those are visited. A link leaves the hot set only
 /// when its `active_flows` drops to zero with no standing queue, and
 /// `active_flows` changes only through a recompute's aggregate refresh —
 /// which always lists the link as touched (flow add/remove and link-state
 /// changes all seed the dirty closure with that link, and the dense solver
 /// touches every previously hot link). Queue drain happens in
 /// `integrate_to`, which prunes drained links itself. So every *untouched*
-/// hot link still qualifies.
-///
-/// Steady-state churn (touched links stay hot) costs O(touched · log hot)
-/// binary searches and never writes the hot vector at all; an O(hot log
-/// hot) rebuild per recompute would dominate the event cost once the
-/// standing hot set is large.
-fn update_hot(ctx: &mut AllocCtx<'_>, touched_sorted: &[usize], scratch: &mut Vec<u32>) {
-    scratch.clear();
-    let mut any_dead = false;
-    {
-        let links = &*ctx.links;
-        let hot = &*ctx.hot_links;
-        for &li in touched_sorted {
-            let l = &links[li];
-            let qualifies = l.active_flows > 0 || l.queue_bits > 0.0;
-            let present = hot.binary_search(&(li as u32)).is_ok();
-            if qualifies && !present {
-                scratch.push(li as u32);
-            } else if !qualifies && present {
-                any_dead = true;
-            }
+/// hot link still qualifies. Each visit is one O(1) insert or remove, so
+/// the cost is O(touched) however large the standing hot set is.
+fn update_hot(ctx: &mut AllocCtx<'_>, touched: &[usize]) {
+    for &li in touched {
+        let l = &ctx.links[li];
+        if l.active_flows > 0 || l.queue_bits > 0.0 {
+            ctx.hot_links.insert(li as u32);
+        } else {
+            ctx.hot_links.remove(li as u32);
         }
-    }
-    if !scratch.is_empty() {
-        ctx.hot_links.extend_from_slice(scratch);
-        ctx.hot_links.sort_unstable();
-        ctx.hot_links.dedup();
-    }
-    if any_dead {
-        let links = &*ctx.links;
-        ctx.hot_links
-            .retain(|&l| links[l as usize].active_flows > 0 || links[l as usize].queue_bits > 0.0);
     }
 }
 
@@ -493,7 +555,6 @@ fn update_hot(ctx: &mut AllocCtx<'_>, touched_sorted: &[usize], scratch: &mut Ve
 pub struct DenseMaxMin {
     solver: ComponentFill,
     scratch_flows: Vec<(PathId, f64)>,
-    hot_scratch: Vec<u32>,
 }
 
 impl RateAllocator for DenseMaxMin {
@@ -519,11 +580,11 @@ impl RateAllocator for DenseMaxMin {
         // too (it may have just lost its last flow): the old hot set covers
         // exactly those.
         let mut touched: Vec<usize> = active_links;
-        touched.extend(ctx.hot_links.iter().map(|&l| l as usize));
+        touched.extend(ctx.hot_links.as_slice().iter().map(|&l| l as usize));
         touched.sort_unstable();
         touched.dedup();
         refresh_link_aggregates_rows(ctx, &touched, &self.scratch_flows, &rate);
-        update_hot(ctx, &touched, &mut self.hot_scratch);
+        update_hot(ctx, &touched);
         let n = ctx.flows.len();
         ctx.scope.record(n, touched.len(), n);
     }
@@ -558,7 +619,6 @@ pub struct IncrementalMaxMin {
     /// Reusable BFS queue scratch.
     queue: Vec<usize>,
     solver: ComponentFill,
-    hot_scratch: Vec<u32>,
     /// Per-recompute scratch: the closure rows' `(path, demand)` problem
     /// and its rates, indexed alike.
     problem: Vec<(PathId, f64)>,
@@ -679,7 +739,7 @@ impl RateAllocator for IncrementalMaxMin {
             ctx.scope.record(0, 0, total_flows);
             return;
         }
-        let (rows, mut comp_links, bounds) = self.closure_grouped(ctx.paths);
+        let (rows, comp_links, bounds) = self.closure_grouped(ctx.paths);
         let mut problem = std::mem::take(&mut self.problem);
         problem.clear();
         problem.extend(rows.iter().map(|&(_, p, d)| (p, d)));
@@ -699,9 +759,8 @@ impl RateAllocator for IncrementalMaxMin {
         // whose last flow just left, which must read as idle again. Every
         // link's flows lie in one group, so per-link sums run in
         // ascending-id order exactly as in the dense solver.
-        comp_links.sort_unstable();
         refresh_link_aggregates_rows(ctx, &comp_links, &problem, &rate);
-        update_hot(ctx, &comp_links, &mut self.hot_scratch);
+        update_hot(ctx, &comp_links);
         ctx.scope.record(rows.len(), comp_links.len(), total_flows);
         self.problem = problem;
         self.rate = rate;
@@ -764,6 +823,60 @@ mod tests {
         let d = net.alloc_scope().since(&before);
         assert_eq!(d.events, 1);
         assert_eq!(d.flows_touched, 2, "dense recomputes every live flow");
+    }
+
+    #[test]
+    fn hot_set_insert_twice_is_a_no_op() {
+        let mut hot = HotSet::default();
+        hot.insert(7);
+        hot.insert(7);
+        assert_eq!(hot.as_slice(), &[7]);
+        assert_eq!(hot.sorted_checked(), vec![7]);
+    }
+
+    #[test]
+    fn hot_set_remove_of_a_cold_link_is_a_no_op() {
+        let mut hot = HotSet::default();
+        hot.insert(3);
+        hot.remove(2);
+        hot.remove(900);
+        assert_eq!(hot.sorted_checked(), vec![3]);
+        hot.remove(3);
+        hot.remove(3);
+        assert!(hot.as_slice().is_empty());
+        assert_eq!(hot.sorted_checked(), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn hot_set_remove_fixes_the_slot_of_the_swapped_member() {
+        let mut hot = HotSet::default();
+        for l in [10, 20, 30, 40] {
+            hot.insert(l);
+        }
+        // 40 moves from the tail into 20's place.
+        hot.remove(20);
+        assert_eq!(hot.as_slice(), &[10, 40, 30]);
+        assert_eq!(hot.sorted_checked(), vec![10, 30, 40]);
+        // Removing 40 finds it through its fixed slot.
+        hot.remove(40);
+        assert_eq!(hot.as_slice(), &[10, 30]);
+        assert_eq!(hot.sorted_checked(), vec![10, 30]);
+    }
+
+    #[test]
+    fn hot_set_retain_visits_every_member_once() {
+        let mut hot = HotSet::default();
+        for l in 0..8 {
+            hot.insert(l);
+        }
+        let mut seen = Vec::new();
+        hot.retain(|l| {
+            seen.push(l);
+            l % 3 == 0
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, (0..8).collect::<Vec<u32>>());
+        assert_eq!(hot.sorted_checked(), vec![0, 3, 6]);
     }
 
     #[test]

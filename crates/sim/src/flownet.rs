@@ -26,7 +26,7 @@
 //!   queue build-up on hash-imbalanced ToR downlinks that Fig 13/14 report,
 //!   without simulating individual packets.
 
-use crate::alloc::{AllocCtx, AllocatorKind, RateAllocator};
+use crate::alloc::{AllocCtx, AllocatorKind, HotSet, RateAllocator};
 use crate::arena::{Flow, FlowArena};
 use crate::path::{PathId, PathInterner};
 use crate::probe::NetProbe;
@@ -154,8 +154,9 @@ pub struct FlowNet {
     clock: SimTime,
     rates_dirty: bool,
     /// Links that currently carry flows or hold a non-empty queue; the only
-    /// links `integrate_to` must touch. Kept sorted and deduplicated.
-    hot_links: Vec<u32>,
+    /// links `integrate_to` must touch. Unordered: each link integrates
+    /// from its own fields only, so visit order never shows in results.
+    hot_links: HotSet,
     allocator: Box<dyn RateAllocator>,
     scope: RecomputeScope,
     probe: Option<Box<dyn NetProbe + Send>>,
@@ -199,7 +200,7 @@ impl FlowNet {
             next_flow: 0,
             clock: SimTime::ZERO,
             rates_dirty: false,
-            hot_links: Vec::new(),
+            hot_links: HotSet::default(),
             allocator,
             scope: RecomputeScope::default(),
             probe: None,
@@ -590,10 +591,11 @@ impl FlowNet {
                 }
             }
             // Only hot links can change: idle links have zero rate, zero
-            // offered load and an empty queue.
-            let mut still_hot = Vec::with_capacity(self.hot_links.len());
-            for &li in &self.hot_links {
-                let l = &mut self.links[li as usize];
+            // offered load and an empty queue. Drained links leave the
+            // set in place.
+            let links = &mut self.links;
+            self.hot_links.retain(|li| {
+                let l = &mut links[li as usize];
                 l.carried_bits += l.allocated_bps * dt;
                 // Queue model: integrate offered-minus-capacity while the
                 // link is over-offered. When offered load is at or below
@@ -616,13 +618,12 @@ impl FlowNet {
                     l.queue_bits = drained * (-dt / QUEUE_RELAX_TAU_S).exp();
                 }
                 l.peak_queue_bits = l.peak_queue_bits.max(l.queue_bits);
-                if l.active_flows > 0 || l.queue_bits > 1.0 {
-                    still_hot.push(li);
-                } else {
+                let keep = l.active_flows > 0 || l.queue_bits > 1.0;
+                if !keep {
                     l.queue_bits = 0.0;
                 }
-            }
-            self.hot_links = still_hot;
+                keep
+            });
         }
         self.clock = now;
     }
@@ -829,8 +830,21 @@ mod tests {
         assert!((t.as_secs_f64() - 6.0).abs() < 1e-6, "{t:?}");
     }
 
+    /// Recompute, then assert that the hot set is exactly the links that
+    /// carry flows or hold queue, and that its slot table is consistent.
+    fn check_hot_set(net: &mut FlowNet, what: &str) {
+        net.recompute_if_dirty();
+        let scan: Vec<u32> = (0..net.links.len() as u32)
+            .filter(|&i| {
+                let s = &net.links[i as usize];
+                s.active_flows > 0 || s.queue_bits > 0.0
+            })
+            .collect();
+        assert_eq!(net.hot_links.sorted_checked(), scan, "{what}");
+    }
+
     /// After every recompute the hot set is exactly the links that carry
-    /// flows or hold queue. The allocators' hot-set update inspects only
+    /// flows or hold queue. The allocators' hot-set update visits only
     /// the links a recompute touched, so it relies on this holding going
     /// in; the script drives every way a link enters or leaves the set.
     #[test]
@@ -842,14 +856,7 @@ mod tests {
                 .map(|&c| net.add_link(c * GBPS, 1e12))
                 .collect();
             let check = |net: &mut FlowNet, what: &str| {
-                net.recompute_if_dirty();
-                let scan: Vec<u32> = (0..net.links.len() as u32)
-                    .filter(|&i| {
-                        let s = &net.links[i as usize];
-                        s.active_flows > 0 || s.queue_bits > 0.0
-                    })
-                    .collect();
-                assert_eq!(net.hot_links, scan, "{kind:?}: {what}");
+                check_hot_set(net, &format!("{kind:?}: {what}"));
             };
             // Two 80G senders converge on the 100G link l[2] (queue
             // build-up); a short flow on l[3]→l[4] completes on its own.
@@ -883,12 +890,85 @@ mod tests {
                 "the queue outlives its flows"
             );
             let mut ms = 1100;
-            while !net.hot_links.is_empty() {
+            while !net.hot_links.as_slice().is_empty() {
                 ms += 10;
                 assert!(ms < 5000, "{kind:?}: queue never drained");
                 net.advance(SimTime::from_millis(ms));
                 check(&mut net, "drain");
             }
+        }
+    }
+
+    /// Seeded random churn under both allocators: flow starts and kills,
+    /// link down/up, short advances that complete flows and long ones that
+    /// drain queues, with the hot set checked against a full scan after
+    /// every operation. Flows join and leave links in arbitrary order, so
+    /// removals hit members at every position of the set.
+    #[test]
+    fn hot_set_matches_full_scan_under_random_churn() {
+        use crate::rng::Xoshiro256;
+        for kind in [AllocatorKind::Dense, AllocatorKind::Incremental] {
+            let mut rng = Xoshiro256::seed_from_u64(0x4807);
+            let mut net = FlowNet::with_allocator(kind);
+            let links: Vec<LinkId> = (0..16)
+                .map(|i| net.add_link((40.0 + 10.0 * (i % 7) as f64) * GBPS, 1e11))
+                .collect();
+            let mut live: Vec<FlowHandle> = Vec::new();
+            let mut down: Vec<bool> = vec![false; links.len()];
+            let mut t = SimTime::ZERO;
+            let mut tag = 0u64;
+            let mut queue_only_seen = false;
+            for op in 0..400 {
+                let what = match rng.next_below(10) {
+                    0..=3 => {
+                        let hops = 1 + rng.next_below(3) as usize;
+                        let mut path: Vec<LinkId> = Vec::new();
+                        while path.len() < hops {
+                            let l = *rng.choose(&links);
+                            if !path.contains(&l) {
+                                path.push(l);
+                            }
+                        }
+                        let demand = if rng.chance(0.2) {
+                            f64::INFINITY
+                        } else {
+                            rng.uniform(10.0, 120.0) * GBPS
+                        };
+                        let size = rng.uniform(0.1, 20.0) * GBPS;
+                        tag += 1;
+                        let s = spec(&mut net, &path, size, demand, tag);
+                        live.push(net.start_flow(t, s));
+                        "start"
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        let i = rng.next_below(live.len() as u64) as usize;
+                        net.kill_flow(t, live.swap_remove(i));
+                        "kill"
+                    }
+                    6 => {
+                        let i = rng.next_below(links.len() as u64) as usize;
+                        down[i] = !down[i];
+                        net.set_link_up(links[i], !down[i]);
+                        "link toggle"
+                    }
+                    7 => {
+                        t += SimDuration::from_millis(500);
+                        net.advance(t);
+                        "long advance"
+                    }
+                    _ => {
+                        t += SimDuration::from_micros(1 + rng.next_below(20_000));
+                        net.advance(t);
+                        "short advance"
+                    }
+                };
+                check_hot_set(&mut net, &format!("{kind:?}: op {op} ({what})"));
+                queue_only_seen |= net
+                    .links
+                    .iter()
+                    .any(|s| s.active_flows == 0 && s.queue_bits > 0.0);
+            }
+            assert!(queue_only_seen, "{kind:?}: no link was hot by queue alone");
         }
     }
 

@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
+use std::sync::OnceLock;
 
 use crate::event::{json_str, Event};
 use crate::registry::Registry;
@@ -257,19 +258,26 @@ impl Parser<'_> {
 }
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
-/// when git (or the repository) is unavailable. Runs the subprocess at
-/// call time; failures degrade to the fallback rather than erroring, so
+/// when git (or the repository) is unavailable. The subprocess runs once
+/// per process, on the first call; later calls return the cached string,
+/// so a server building a manifest per response spawns no subprocess per
+/// request. Failures degrade to the fallback rather than erroring, so
 /// manifests still work from tarballs and sandboxes.
 pub fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static DESCRIBED: OnceLock<String> = OnceLock::new();
+    DESCRIBED
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 #[cfg(test)]
@@ -350,5 +358,10 @@ mod tests {
     fn git_describe_never_panics() {
         let d = git_describe();
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn git_describe_is_stable_within_a_process() {
+        assert_eq!(git_describe(), git_describe());
     }
 }
