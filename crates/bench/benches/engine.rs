@@ -140,67 +140,37 @@ fn bench_allocator_churn(c: &mut Criterion) {
     // per recompute — the regime of a full collective's flows sharing one
     // bottleneck set — while the pod geometry above measures the
     // bookkeeping-bound regime.
-    const NCOMP: usize = 8;
     const COMP_LINKS: usize = 64;
     let n = 16384usize;
-    group.bench_with_input(
-        BenchmarkId::new("incremental_collective", n),
-        &n,
-        |b, &n| {
-            let mut net = FlowNet::with_allocator(AllocatorKind::Incremental);
-            let links: Vec<_> = (0..NCOMP * COMP_LINKS)
-                .map(|_| net.add_link(4e12, 1e7))
-                .collect();
-            // Slot i lives in component (i % NCOMP); consecutive slots
-            // churn distinct components, like the pod bench. Distinct
-            // demands per in-component slot force one fill freeze round
-            // per flow, making the exact solve O(flows²) per recompute.
-            let spec_of = |net: &mut FlowNet, i: usize| {
-                let comp = i % NCOMP;
-                let k = i / NCOMP;
-                let a = links[comp * COMP_LINKS + k % COMP_LINKS];
-                let b = links[comp * COMP_LINKS + (k * 7 + 1) % COMP_LINKS];
-                let path = if a == b {
-                    net.intern_path(&[a])
-                } else {
-                    net.intern_path(&[a, b])
-                };
-                FlowSpec {
-                    path,
-                    size_bits: 1e15,
-                    demand_bps: 50e9 + k as f64 * 1e6,
-                    tag: i as u64,
-                }
-            };
-            let mut handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let spec = spec_of(&mut net, i);
-                    net.start_flow(SimTime::ZERO, spec)
-                })
-                .collect();
-            net.recompute_if_dirty();
-            let warm = net.alloc_scope();
-            let mut i = 0usize;
-            b.iter(|| {
-                for _ in 0..CHURN_BATCH {
-                    let slot = i % handles.len();
-                    net.kill_flow(SimTime::ZERO, handles[slot]);
-                    let spec = spec_of(&mut net, slot);
-                    handles[slot] = net.start_flow(SimTime::ZERO, spec);
-                    i += 1;
-                }
-                net.recompute_if_dirty();
-            });
-            let scope = net.alloc_scope().since(&warm);
-            eprintln!(
-            "allocator/incremental_collective/{n}: {:.1} flows + {:.1} links touched per event \
-             ({:.4} of active flows)",
-            scope.mean_flows_touched(),
-            scope.mean_links_touched(),
-            scope.touched_fraction(),
-        );
+    bench_component_churn(
+        &mut group,
+        "incremental_collective",
+        n,
+        8,
+        COMP_LINKS,
+        |k| {
+            // Distinct demands per in-component slot force one fill freeze
+            // round per flow, making the exact solve O(flows²) per recompute.
+            let a = k % COMP_LINKS;
+            let b = (k * 7 + 1) % COMP_LINKS;
+            let hops = if a == b { vec![a] } else { vec![a, b] };
+            (hops, 50e9 + k as f64 * 1e6)
         },
     );
+
+    // All-to-all geometry: components of a few hundred flows, each
+    // crossing six distinct links of its component, all with one demand.
+    // Every component link carries ~48 flows, so a flow is reachable from
+    // six member lists — the closure-bound regime of MoE expert traffic —
+    // while uniform demands keep the fill to a few freeze rounds.
+    const A2A_LINKS: usize = 32;
+    bench_component_churn(&mut group, "incremental_a2a", n, 64, A2A_LINKS, |k| {
+        // An odd stride generates all of Z/32, so the six hops are
+        // distinct.
+        let stride = 1 + 2 * ((k / A2A_LINKS) % (A2A_LINKS / 2));
+        let hops = (0..6).map(|h| (k + h * stride) % A2A_LINKS).collect();
+        (hops, 100e9)
+    });
 
     // Hot-set turnover: n links, half of them busy, each busy link
     // carrying exactly one single-hop flow. Every event kills one link's
@@ -255,6 +225,66 @@ fn bench_allocator_churn(c: &mut Criterion) {
     });
     group.finish();
     write_alloc_tracking(c);
+}
+
+/// Churn `n` flows spread over `ncomp` disjoint components of
+/// `comp_links` links each, with the pod bench's protocol: every bench
+/// iteration kills and restarts [`CHURN_BATCH`] flows in distinct
+/// components, then recomputes once. Slot `i` lives in component
+/// `i % ncomp` as its `k = i / ncomp`-th flow, and `shape(k)` gives that
+/// flow's hops (indices into its component's links) and demand.
+fn bench_component_churn(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    n: usize,
+    ncomp: usize,
+    comp_links: usize,
+    shape: impl Fn(usize) -> (Vec<usize>, f64),
+) {
+    group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
+        let mut net = FlowNet::with_allocator(AllocatorKind::Incremental);
+        let links: Vec<_> = (0..ncomp * comp_links)
+            .map(|_| net.add_link(4e12, 1e7))
+            .collect();
+        let spec_of = |net: &mut FlowNet, i: usize| {
+            let comp = i % ncomp;
+            let (hops, demand_bps) = shape(i / ncomp);
+            let path: Vec<_> = hops.iter().map(|&h| links[comp * comp_links + h]).collect();
+            FlowSpec {
+                path: net.intern_path(&path),
+                size_bits: 1e15,
+                demand_bps,
+                tag: i as u64,
+            }
+        };
+        let mut handles: Vec<_> = (0..n)
+            .map(|i| {
+                let spec = spec_of(&mut net, i);
+                net.start_flow(SimTime::ZERO, spec)
+            })
+            .collect();
+        net.recompute_if_dirty();
+        let warm = net.alloc_scope();
+        let mut i = 0usize;
+        b.iter(|| {
+            for _ in 0..CHURN_BATCH {
+                let slot = i % handles.len();
+                net.kill_flow(SimTime::ZERO, handles[slot]);
+                let spec = spec_of(&mut net, slot);
+                handles[slot] = net.start_flow(SimTime::ZERO, spec);
+                i += 1;
+            }
+            net.recompute_if_dirty();
+        });
+        let scope = net.alloc_scope().since(&warm);
+        eprintln!(
+            "allocator/{name}/{n}: {:.1} flows + {:.1} links touched per event \
+             ({:.4} of active flows)",
+            scope.mean_flows_touched(),
+            scope.mean_links_touched(),
+            scope.touched_fraction(),
+        );
+    });
 }
 
 /// Write `BENCH_alloc.json` at the workspace root from the allocator

@@ -593,6 +593,26 @@ impl RateAllocator for DenseMaxMin {
 /// One closure problem row: `(flow id, path, demand_bps)`.
 type ProblemRow = (u64, PathId, f64);
 
+/// A live flow's record in the [`IncrementalMaxMin`] slab.
+struct FlowRec {
+    id: u64,
+    path: PathId,
+    demand: f64,
+    /// Epoch of the last closure that expanded this flow.
+    mark: u64,
+    /// `pos[k]`: index, in the member list of the `k`-th link of the
+    /// flow's path, of the entry standing for that occurrence.
+    pos: Vec<u32>,
+}
+
+/// One entry of a per-link member list: occurrence `k` of the path of the
+/// flow in slab slot `slot`.
+#[derive(Clone, Copy)]
+struct Member {
+    slot: u32,
+    k: u32,
+}
+
 /// Component-scoped max-min: recomputes only flows/links reachable from
 /// the perturbed elements through shared links.
 ///
@@ -604,20 +624,34 @@ type ProblemRow = (u64, PathId, f64);
 /// they are bitwise stable across unrelated perturbations.
 #[derive(Default)]
 pub struct IncrementalMaxMin {
-    /// Per link: `(flow id, path, demand)` of flows crossing it, with
-    /// multiplicity for repeated path entries (mirrors the fill's
-    /// per-occurrence share accounting). Carrying the problem row alongside
-    /// the id means [`IncrementalMaxMin::closure_grouped`] never touches
-    /// the flow arena: everything a recompute solves over comes straight
-    /// out of this membership table.
-    members: Vec<Vec<ProblemRow>>,
+    /// One record per live flow. Freed slots go on `free` and are reused,
+    /// so the slab never holds more slots than the peak live-flow count.
+    slab: Vec<FlowRec>,
+    free: Vec<u32>,
+    /// Flow id → slab slot; probed once per removal.
+    slot_of: FxHashMap<u64, u32>,
+    /// Per link: one entry per occurrence of the link in a live flow's
+    /// path, so a flow whose path repeats a link appears once per
+    /// occurrence (mirrors the fill's per-occurrence share accounting).
+    /// Each entry's slab record points back at it through `pos`, which
+    /// makes removal a swap-remove instead of a scan. The records carry the
+    /// `(path, demand)` problem row, so
+    /// [`IncrementalMaxMin::closure_grouped`] never touches the flow arena.
+    members: Vec<Vec<Member>>,
     /// Links perturbed since the last recompute (seeds; may repeat).
     dirty: Vec<u32>,
-    /// BFS visit stamps per link, keyed by epoch (no per-event clearing).
+    /// BFS visit stamps per link, keyed by epoch (no per-event clearing);
+    /// flows carry theirs in [`FlowRec::mark`].
     link_mark: Vec<u64>,
     epoch: u64,
     /// Reusable BFS queue scratch.
     queue: Vec<usize>,
+    /// Closure output, reused across recomputes: the perturbed flows'
+    /// problem rows, the perturbed links, and the group row bounds (see
+    /// [`IncrementalMaxMin::closure_grouped`]).
+    rows: Vec<ProblemRow>,
+    comp_links: Vec<usize>,
+    bounds: Vec<usize>,
     solver: ComponentFill,
     /// Per-recompute scratch: the closure rows' `(path, demand)` problem
     /// and its rates, indexed alike.
@@ -630,73 +664,108 @@ impl IncrementalMaxMin {
     /// one true connected component at a time. Each dirty seed that is
     /// still unvisited starts one BFS wave, and a wave can only reach its
     /// own component, so draining the queue per seed yields one group per
-    /// component. Runs entirely over the membership table — no flow-arena
-    /// lookups.
+    /// component. Runs entirely over the membership table and the slab —
+    /// no flow-arena lookups.
     ///
-    /// Returns `(rows, comp_links, bounds)`: the perturbed flows as full
-    /// `(id, path, demand)` problem rows, the perturbed links (unsorted),
-    /// and `bounds[g]..bounds[g + 1]`, the row range of group `g`. Within
-    /// a group rows ascend by id, matching the dense solver's freeze
-    /// order. Seeds with no member flows (e.g. a link whose last flow just
-    /// left) contribute their links but no group.
+    /// Fills `rows`, `comp_links` and `bounds`: the perturbed flows as
+    /// full `(id, path, demand)` problem rows, the perturbed links
+    /// (unsorted), and `bounds[g]..bounds[g + 1]`, the row range of group
+    /// `g`. Within a group rows ascend by id, matching the dense solver's
+    /// freeze order. Seeds with no member flows (e.g. a link whose last
+    /// flow just left) contribute their links but no group.
     ///
-    /// Flow dedup rides on the sort the rows need anyway: the BFS collects
-    /// one row per member *occurrence* (a flow appears once per visited
-    /// link it crosses) and a sort + dedup-by-id collapses them. That is
-    /// cheaper than a hash-set membership probe per occurrence, and path
-    /// expansion stays idempotent through the link visit stamps.
-    fn closure_grouped(
-        &mut self,
-        paths: &PathInterner,
-    ) -> (Vec<ProblemRow>, Vec<usize>, Vec<usize>) {
+    /// Each flow is pushed and its path expanded once: the first member
+    /// entry that reaches it stamps its slab record with the epoch, and
+    /// every later entry (on another link of its path, or a repeat of the
+    /// same link) skips it. So rows arrive unique and a group needs only
+    /// the sort by id.
+    fn closure_grouped(&mut self, paths: &PathInterner) {
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut queue = std::mem::take(&mut self.queue);
+        let Self {
+            slab,
+            members,
+            dirty,
+            link_mark,
+            queue,
+            rows,
+            comp_links,
+            bounds,
+            ..
+        } = self;
         queue.clear();
-        let mut comp_links: Vec<usize> = Vec::new();
-        let mut rows: Vec<ProblemRow> = Vec::new();
-        let mut bounds: Vec<usize> = vec![0];
-        let mut seeds = std::mem::take(&mut self.dirty);
-        for &l in &seeds {
+        rows.clear();
+        comp_links.clear();
+        bounds.clear();
+        bounds.push(0);
+        for &l in dirty.iter() {
             let li = l as usize;
-            if self.link_mark[li] == epoch {
+            if link_mark[li] == epoch {
                 continue;
             }
-            self.link_mark[li] = epoch;
+            link_mark[li] = epoch;
             queue.push(li);
             let start = rows.len();
             while let Some(lj) = queue.pop() {
                 comp_links.push(lj);
-                for &(fid, path, demand) in &self.members[lj] {
-                    rows.push((fid, path, demand));
-                    for lk in paths.get(path) {
+                for m in &members[lj] {
+                    let rec = &mut slab[m.slot as usize];
+                    if rec.mark == epoch {
+                        continue;
+                    }
+                    rec.mark = epoch;
+                    rows.push((rec.id, rec.path, rec.demand));
+                    for lk in paths.get(rec.path) {
                         let lk = lk.0 as usize;
-                        if self.link_mark[lk] != epoch {
-                            self.link_mark[lk] = epoch;
+                        if link_mark[lk] != epoch {
+                            link_mark[lk] = epoch;
                             queue.push(lk);
                         }
                     }
                 }
             }
             rows[start..].sort_unstable_by_key(|&(id, _, _)| id);
-            // Suffix-local dedup: occurrences of one flow never cross
-            // group boundaries, so earlier groups need no rescan.
-            let mut w = start;
-            for r in start..rows.len() {
-                if w == start || rows[r].0 != rows[w - 1].0 {
-                    rows[w] = rows[r];
-                    w += 1;
-                }
-            }
-            rows.truncate(w);
             if rows.len() > start {
                 bounds.push(rows.len());
             }
         }
-        seeds.clear();
-        self.dirty = seeds;
-        self.queue = queue;
-        (rows, comp_links, bounds)
+        dirty.clear();
+    }
+
+    /// Assert the membership table's invariants: every member entry's
+    /// `pos` points back at it, every live flow has one entry per path
+    /// occurrence on the right link, and the slab holds exactly the live
+    /// slots plus the free ones.
+    #[cfg(test)]
+    fn check_membership(&self, paths: &PathInterner) {
+        assert_eq!(
+            self.slab.len(),
+            self.slot_of.len() + self.free.len(),
+            "slab slots = live + free"
+        );
+        for (&id, &slot) in &self.slot_of {
+            let rec = &self.slab[slot as usize];
+            assert_eq!(rec.id, id, "slot {slot} holds flow {id}");
+            let links = paths.get(rec.path);
+            assert_eq!(rec.pos.len(), links.len(), "flow {id}: one pos per hop");
+            for (k, (l, &p)) in links.iter().zip(&rec.pos).enumerate() {
+                let m = self.members[l.0 as usize][p as usize];
+                assert_eq!((m.slot, m.k as usize), (slot, k), "flow {id} hop {k}");
+            }
+        }
+        let mut live: Vec<u32> = self.slot_of.values().copied().collect();
+        live.sort_unstable();
+        for (li, list) in self.members.iter().enumerate() {
+            for (i, m) in list.iter().enumerate() {
+                assert!(
+                    live.binary_search(&m.slot).is_ok(),
+                    "link {li} entry {i}: slot {} is not live",
+                    m.slot
+                );
+                let pos = self.slab[m.slot as usize].pos[m.k as usize];
+                assert_eq!(pos as usize, i, "link {li} entry {i}: pos points back");
+            }
+        }
     }
 }
 
@@ -711,22 +780,47 @@ impl RateAllocator for IncrementalMaxMin {
     }
 
     fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        for l in path {
-            self.members[l.0 as usize].push((id, spec.path, spec.demand_bps));
+        // A reused slot hands its `pos` buffer on to the new flow.
+        let (slot, mut pos) = match self.free.pop() {
+            Some(s) => (s, std::mem::take(&mut self.slab[s as usize].pos)),
+            None => (self.slab.len() as u32, Vec::new()),
+        };
+        pos.clear();
+        for (k, l) in path.iter().enumerate() {
+            let m = &mut self.members[l.0 as usize];
+            pos.push(m.len() as u32);
+            m.push(Member { slot, k: k as u32 });
             self.dirty.push(l.0);
         }
+        // Epochs start at 1, so mark 0 is never the current closure's.
+        let rec = FlowRec {
+            id,
+            path: spec.path,
+            demand: spec.demand_bps,
+            mark: 0,
+            pos,
+        };
+        match self.slab.get_mut(slot as usize) {
+            Some(r) => *r = rec,
+            None => self.slab.push(rec),
+        }
+        self.slot_of.insert(id, slot);
     }
 
     fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        for l in path {
+        let slot = self.slot_of.remove(&id).expect("removed flow was added");
+        for (k, l) in path.iter().enumerate() {
+            // Read `pos` afresh per hop: when the path repeats a link, an
+            // earlier hop's swap may have moved this occurrence.
+            let p = self.slab[slot as usize].pos[k] as usize;
             let m = &mut self.members[l.0 as usize];
-            let pos = m
-                .iter()
-                .position(|&(fid, _, _)| fid == id)
-                .expect("removed flow was a member of its links");
-            m.swap_remove(pos);
+            m.swap_remove(p);
+            if let Some(&moved) = m.get(p) {
+                self.slab[moved.slot as usize].pos[moved.k as usize] = p as u32;
+            }
             self.dirty.push(l.0);
         }
+        self.free.push(slot);
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
@@ -739,16 +833,23 @@ impl RateAllocator for IncrementalMaxMin {
             ctx.scope.record(0, 0, total_flows);
             return;
         }
-        let (rows, comp_links, bounds) = self.closure_grouped(ctx.paths);
-        let mut problem = std::mem::take(&mut self.problem);
+        self.closure_grouped(ctx.paths);
+        let Self {
+            rows,
+            comp_links,
+            bounds,
+            solver,
+            problem,
+            rate,
+            ..
+        } = self;
         problem.clear();
         problem.extend(rows.iter().map(|&(_, p, d)| (p, d)));
-        let mut rate = std::mem::take(&mut self.rate);
         rate.clear();
         rate.resize(problem.len(), 0.0);
         for g in bounds.windows(2) {
             let (a, b) = (g[0], g[1]);
-            let (r, _) = self.solver.fill(ctx.links, ctx.paths, &problem[a..b]);
+            let (r, _) = solver.fill(ctx.links, ctx.paths, &problem[a..b]);
             rate[a..b].copy_from_slice(&r);
             // Ids ascend within each group, so the gallop restarts per
             // group.
@@ -759,11 +860,9 @@ impl RateAllocator for IncrementalMaxMin {
         // whose last flow just left, which must read as idle again. Every
         // link's flows lie in one group, so per-link sums run in
         // ascending-id order exactly as in the dense solver.
-        refresh_link_aggregates_rows(ctx, &comp_links, &problem, &rate);
-        update_hot(ctx, &comp_links);
+        refresh_link_aggregates_rows(ctx, comp_links, problem, rate);
+        update_hot(ctx, comp_links);
         ctx.scope.record(rows.len(), comp_links.len(), total_flows);
-        self.problem = problem;
-        self.rate = rate;
     }
 }
 
@@ -947,5 +1046,172 @@ mod tests {
         let incremental = churn_rate_bits(Box::new(IncrementalMaxMin::default()), 9, 12);
         let dense = churn_rate_bits(Box::new(DenseMaxMin::default()), 9, 12);
         assert_eq!(incremental, dense);
+    }
+
+    /// An [`IncrementalMaxMin`] that checks its membership table before
+    /// and after every recompute, counting the checks it ran.
+    struct Checked {
+        inner: IncrementalMaxMin,
+        checks: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl RateAllocator for Checked {
+        fn kind(&self) -> AllocatorKind {
+            self.inner.kind()
+        }
+        fn on_link_added(&mut self, link: LinkId) {
+            self.inner.on_link_added(link);
+        }
+        fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
+            self.inner.on_flow_added(id, spec, path);
+        }
+        fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
+            self.inner.on_flow_removed(id, path);
+        }
+        fn on_link_changed(&mut self, link: LinkId) {
+            self.inner.on_link_changed(link);
+        }
+        fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
+            self.inner.check_membership(ctx.paths);
+            self.inner.recompute(ctx);
+            self.inner.check_membership(ctx.paths);
+            self.checks
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// Seeded churn driven identically through a dense net and a checked
+    /// incremental one: flow starts (some paths cross one link twice),
+    /// kills, link toggles and advances that complete flows. After every
+    /// operation every live rate must be bitwise equal across the two,
+    /// which forces a recompute and so a membership check.
+    #[test]
+    fn membership_table_holds_through_churn_and_matches_dense() {
+        use crate::rng::Xoshiro256;
+        use crate::time::SimDuration;
+        let checks = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut dense = FlowNet::with_allocator(AllocatorKind::Dense);
+        let mut incr = FlowNet::with_allocator_box(Box::new(Checked {
+            inner: IncrementalMaxMin::default(),
+            checks: checks.clone(),
+        }));
+        let links: Vec<(LinkId, LinkId)> = (0..12)
+            .map(|i| {
+                let cap = (40.0 + 10.0 * (i % 5) as f64) * GBPS;
+                (dense.add_link(cap, 1e11), incr.add_link(cap, 1e11))
+            })
+            .collect();
+        let mut rng = Xoshiro256::seed_from_u64(0x51ab);
+        let mut live: Vec<(crate::flownet::FlowHandle, crate::flownet::FlowHandle)> = Vec::new();
+        let mut down = vec![false; links.len()];
+        let mut t = SimTime::ZERO;
+        let (mut starts, mut repeats, mut completions) = (0, 0, 0);
+        for op in 0..600 {
+            let what = match rng.next_below(10) {
+                0..=3 => {
+                    let hops = 1 + rng.next_below(4) as usize;
+                    let path: Vec<usize> = (0..hops)
+                        .map(|_| rng.next_below(links.len() as u64) as usize)
+                        .collect();
+                    let mut uniq = path.clone();
+                    uniq.sort_unstable();
+                    uniq.dedup();
+                    repeats += usize::from(uniq.len() < path.len());
+                    let demand = if rng.chance(0.2) {
+                        f64::INFINITY
+                    } else {
+                        rng.uniform(10.0, 120.0) * GBPS
+                    };
+                    let size = rng.uniform(0.1, 20.0) * GBPS;
+                    let start = |net: &mut FlowNet, pick: fn(&(LinkId, LinkId)) -> LinkId| {
+                        let ls: Vec<LinkId> = path.iter().map(|&i| pick(&links[i])).collect();
+                        let p = net.intern_path(&ls);
+                        let spec = FlowSpec {
+                            path: p,
+                            size_bits: size,
+                            demand_bps: demand,
+                            tag: op,
+                        };
+                        net.start_flow(t, spec)
+                    };
+                    live.push((start(&mut dense, |l| l.0), start(&mut incr, |l| l.1)));
+                    starts += 1;
+                    "start"
+                }
+                4 | 5 if !live.is_empty() => {
+                    let (d, i) = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+                    assert!(dense.kill_flow(t, d) && incr.kill_flow(t, i));
+                    "kill"
+                }
+                6 => {
+                    let i = rng.next_below(links.len() as u64) as usize;
+                    down[i] = !down[i];
+                    dense.set_link_up(links[i].0, !down[i]);
+                    incr.set_link_up(links[i].1, !down[i]);
+                    "link toggle"
+                }
+                _ => {
+                    t += SimDuration::from_micros(1 + rng.next_below(200_000));
+                    let (cd, ci) = (dense.advance(t), incr.advance(t));
+                    assert_eq!(cd.len(), ci.len(), "op {op}: completions");
+                    completions += cd.len();
+                    live.retain(|&(d, _)| dense.flow_rate(d).is_some());
+                    "advance"
+                }
+            };
+            for &(d, i) in &live {
+                let (rd, ri) = (dense.flow_rate(d), incr.flow_rate(i));
+                assert_eq!(
+                    rd.map(f64::to_bits),
+                    ri.map(f64::to_bits),
+                    "op {op} ({what}): rates differ"
+                );
+            }
+        }
+        assert!(
+            starts > 150 && repeats > 20 && completions > 20,
+            "churn too tame"
+        );
+        assert!(checks.load(std::sync::atomic::Ordering::Relaxed) > 400);
+    }
+
+    /// Slab slots are reused: many add/remove cycles with a bounded number
+    /// of live flows never grow the slab past that bound.
+    #[test]
+    fn slab_stays_within_peak_live_flows() {
+        const MAX_LIVE: usize = 64;
+        let mut paths = PathInterner::new();
+        let mut alloc = IncrementalMaxMin::default();
+        for l in 0..8 {
+            alloc.on_link_added(LinkId(l));
+        }
+        let path_ids: Vec<PathId> = (0..8u32)
+            .map(|l| paths.intern(&[LinkId(l), LinkId((l + 3) % 8), LinkId(l)]))
+            .collect();
+        let mut live: std::collections::VecDeque<(u64, PathId)> = Default::default();
+        for id in 0..10_000u64 {
+            if live.len() == MAX_LIVE || (id % 3 == 0 && !live.is_empty()) {
+                // Remove from the middle as well as the front so slots
+                // free in scattered order.
+                let (gone, p) = live.remove((id as usize * 7) % live.len()).unwrap();
+                alloc.on_flow_removed(gone, paths.get(p));
+            }
+            let p = path_ids[(id % 8) as usize];
+            let spec = FlowSpec {
+                path: p,
+                size_bits: 1.0,
+                demand_bps: 1.0,
+                tag: id,
+            };
+            alloc.on_flow_added(id, &spec, paths.get(p));
+            live.push_back((id, p));
+            alloc.dirty.clear();
+        }
+        alloc.check_membership(&paths);
+        assert!(
+            alloc.slab.len() <= MAX_LIVE,
+            "slab grew to {}",
+            alloc.slab.len()
+        );
     }
 }
