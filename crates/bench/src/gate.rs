@@ -24,9 +24,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hpn_sim::AllocatorKind;
-use hpn_telemetry::{
-    flat_map_json, hex_digest, parse_flat_map, replay, JsonlRecorder, RunManifest,
-};
+use hpn_telemetry::{flat_map_json, hex_digest, parse_flat_map, RunManifest};
 
 use crate::report::Report;
 use crate::runner::{run_plan, scale_label, RunPlan};
@@ -111,7 +109,8 @@ impl GateOutcome {
 /// rewrite) the golden file. When `out_dir` is given, a `manifest.json`
 /// plus one `<id>.telemetry.jsonl` per figure are written there.
 ///
-/// Every output is merged **in plan order** — `jobs` changes wall-clock
+/// Each figure streams its own JSONL file as it runs, and every shared
+/// output is assembled **in plan order** — `jobs` changes wall-clock
 /// only, never a byte of the figures, the JSONL streams or the manifest
 /// (which deliberately does not record `jobs`). `tests/determinism.rs`
 /// checks this equivalence end to end.
@@ -122,9 +121,6 @@ pub fn run_gate(
     out_dir: Option<&Path>,
     jobs: usize,
 ) -> std::io::Result<GateOutcome> {
-    if let Some(dir) = out_dir {
-        fs::create_dir_all(dir)?;
-    }
     // Experiments carry their own fixed seeds; the manifest records the
     // harness-level identity (allocator, scale, figure set).
     let mut manifest = RunManifest::new(0, AllocatorKind::default().name(), scale_label(scale));
@@ -133,17 +129,13 @@ pub fn run_gate(
 
     // `figures_only` keeps every experiment on its built-in fixed seeds —
     // the exact configuration the golden hashes fingerprint.
-    let results = run_plan(&RunPlan::figures_only(ids, scale), jobs);
+    let results = run_plan(&RunPlan::figures_only(ids, scale), jobs, out_dir)?;
 
     let mut fingerprints: BTreeMap<String, String> = BTreeMap::new();
     let mut latency_fps: BTreeMap<String, String> = BTreeMap::new();
     let mut timings = Vec::with_capacity(results.len());
     for r in &results {
         let id = r.cell.figure.as_str();
-        if let Some(dir) = out_dir {
-            let mut jsonl = JsonlRecorder::create(&dir.join(format!("{id}.telemetry.jsonl")))?;
-            replay(&r.events, &mut jsonl);
-        }
         manifest.record_figure(id, &r.fingerprint);
         manifest.record_telemetry(id, &r.registry);
         fingerprints.insert(id.to_string(), r.fingerprint.clone());

@@ -40,9 +40,11 @@
 //!                                      # EXPERIMENTS.md "Service mode"
 //! ```
 //!
-//! `--jobs N` runs experiment cells on up to N worker threads; outputs are
-//! merged in plan order, so every figure, JSONL stream and manifest is
-//! byte-identical to `--jobs 1`. `--seeds A..B` (half-open, or `A..=B`
+//! `--jobs N` runs experiment cells on up to N worker threads; each cell
+//! streams its own JSONL file and everything shared is assembled in plan
+//! order, so every figure, JSONL stream and manifest is byte-identical to
+//! `--jobs 1`. An `--out` that cannot be created exits 2 before any cell
+//! runs. `--seeds A..B` (half-open, or `A..=B`
 //! inclusive) sweeps root seeds: one manifest per seed plus an aggregated
 //! `variance.json`.
 //!
@@ -537,8 +539,15 @@ fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_d
         scale,
     );
 
+    let out = out_dir.map(std::path::Path::new);
     let start = std::time::Instant::now();
-    let results = run_plan(&plan, jobs);
+    let results = match run_plan(&plan, jobs, out) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("run: cannot write outputs: {e}");
+            std::process::exit(2);
+        }
+    };
     let wall = start.elapsed();
 
     for r in &results {
@@ -562,11 +571,10 @@ fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_d
         cell_total.as_secs_f64()
     );
 
-    let out = out_dir.map(std::path::Path::new);
     if out.is_some() || seeds.is_some() {
         if let Some(dir) = out {
             if let Err(e) = write_sweep_outputs(&plan, &results, Some(dir)) {
-                eprintln!("writing sweep outputs failed: {e}");
+                eprintln!("writing sweep manifests failed: {e}");
                 std::process::exit(2);
             }
             let report = variance_json(&plan, &results);
@@ -644,8 +652,15 @@ fn scenario_run(
             })
         })
         .collect();
+    let out = out_dir.map(std::path::Path::new);
     let start = std::time::Instant::now();
-    let results = run_cells(tasks, scale, jobs);
+    let results = match run_cells(tasks, scale, jobs, out) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("scenario run: cannot write outputs: {e}");
+            std::process::exit(2);
+        }
+    };
     let wall = start.elapsed();
 
     for r in &results {
@@ -659,18 +674,18 @@ fn scenario_run(
         wall.as_secs_f64()
     );
 
-    if let Some(dir) = out_dir {
+    if let Some(dir) = out {
         // Reuse the sweep writer: one `None` seed, figures = cell labels.
         let plan = RunPlan {
             figures: labels,
             seeds: vec![None],
             scale,
         };
-        if let Err(e) = write_sweep_outputs(&plan, &results, Some(std::path::Path::new(dir))) {
-            eprintln!("writing scenario outputs failed: {e}");
+        if let Err(e) = write_sweep_outputs(&plan, &results, Some(dir)) {
+            eprintln!("writing scenario manifest failed: {e}");
             std::process::exit(2);
         }
-        eprintln!("wrote manifest + telemetry under {dir}/");
+        eprintln!("wrote manifest + telemetry under {}/", dir.display());
     }
 }
 

@@ -1,6 +1,6 @@
 //! The parallel experiment runner: a [`RunPlan`] enumerating
 //! (figure, seed) cells, executed across a work-stealing pool
-//! ([`crate::pool`]) and merged back **in plan order**.
+//! ([`crate::pool`]) and collected back **in plan order**.
 //!
 //! # The determinism argument
 //!
@@ -18,14 +18,18 @@
 //!    `(root_seed, site_id)` via [`hpn_sim::split_seed`], a stateless hash
 //!    (`ctx.seed_for`), never from a shared sequential generator — so the
 //!    schedule cannot change what a cell computes.
-//! 3. **Plan-order merge.** Results come back from the pool indexed by plan
-//!    position, and every output (report printing, JSONL telemetry,
-//!    manifest entries, golden comparison) is emitted by iterating that
-//!    order. Completion order affects wall-clock only.
+//! 3. **One output per cell, assembled in plan order.** A cell streams its
+//!    telemetry JSONL straight into its own file ([`telemetry_file`]) as
+//!    it runs, so no two cells ever share a stream and nothing is merged.
+//!    Results come back from the pool indexed by plan position, and every
+//!    shared output (report printing, manifest entries, golden comparison)
+//!    is emitted by iterating that order. Completion order affects
+//!    wall-clock only.
 //!
 //! The determinism test suite (`tests/determinism.rs` at the workspace
 //! root) checks the conclusion directly: `--jobs 1` and `--jobs 8` produce
-//! identical figure bytes and manifest SHA-256s for every gated figure.
+//! identical figure bytes and manifest SHA-256s for every gated figure,
+//! and the telemetry of four cells matches checked-in SHA-256s.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -35,7 +39,7 @@ use std::time::Duration;
 
 use hpn_sim::AllocatorKind;
 use hpn_telemetry::{
-    replay, Event, EventLog, JsonlRecorder, Recorder, Registry, RunManifest, SharedRecorder, SimCtx,
+    Event, JsonlRecorder, NullRecorder, Recorder, Registry, RunManifest, SharedRecorder, SimCtx,
 };
 
 use crate::gate::figure_fingerprint;
@@ -55,7 +59,7 @@ pub fn scale_label(scale: Scale) -> &'static str {
 /// built-in fixed seeds when `seed` is `None`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
-    /// Position in plan order — the merge key.
+    /// Position in plan order — the collection key.
     pub index: usize,
     /// Experiment id (e.g. `"fig15"`).
     pub figure: String,
@@ -122,7 +126,8 @@ impl RunPlan {
     }
 }
 
-/// Everything one cell produced, ready for the plan-order merge.
+/// Everything one cell produced but its telemetry stream, which went to
+/// the cell's own output as it ran.
 pub struct CellResult {
     /// The cell that ran.
     pub cell: Cell,
@@ -132,25 +137,27 @@ pub struct CellResult {
     pub fingerprint: String,
     /// Telemetry aggregates of this cell alone.
     pub registry: Registry,
-    /// The cell's captured telemetry segment (starts with `SimStart`).
-    pub events: Vec<Event>,
     /// Wall-clock the cell took (reporting only — never hashed).
     pub wall: Duration,
 }
 
-/// Tee sink: capture the event stream and aggregate it, per cell. The
-/// registry is shared so the runner can read the aggregates back after the
-/// cell's recorder handle is dropped; both halves are `Send`, keeping the
-/// whole context shippable to a pool worker.
+/// Tee sink: write the event stream to the cell's output and aggregate
+/// it, per cell. The registry is shared so the runner can read the
+/// aggregates back after the cell's recorder handle is dropped; both
+/// halves are `Send`, keeping the whole context shippable to a pool worker.
 struct CellSink {
-    log: EventLog,
+    out: Box<dyn Recorder>,
     registry: Arc<Mutex<Registry>>,
 }
 
 impl Recorder for CellSink {
     fn record(&mut self, ev: &Event) {
-        self.log.record(ev);
+        self.out.record(ev);
         self.registry.lock().expect("cell registry").record(ev);
+    }
+
+    fn flush(&mut self) {
+        self.out.flush();
     }
 }
 
@@ -166,33 +173,37 @@ fn cell_label(cell: &Cell, scale: Scale, allocator: AllocatorKind) -> String {
     )
 }
 
-/// Execute one cell in isolation on the current thread.
-///
-/// Builds the cell's [`SimCtx`] — recorder teeing into the captured
-/// segment and the registry, sweep root seed from the plan — and passes it
-/// to the cell body. Generic over the body so user-authored scenarios
-/// (closures built by `scenario_cli`) run through the exact same context /
-/// telemetry / fingerprint machinery as the registered experiments.
-fn run_cell<F: Fn(&SimCtx, Scale) -> Report>(cell: &Cell, scale: Scale, f: F) -> CellResult {
-    run_cell_into(cell, scale, EventLog::new(), f)
+/// The name of a cell's telemetry file in an output directory:
+/// `<figure>.telemetry.jsonl`, or `<figure>.seed<root>.telemetry.jsonl`
+/// for a sweep cell.
+pub fn telemetry_file(cell: &Cell) -> String {
+    match cell.seed {
+        None => format!("{}.telemetry.jsonl", cell.figure),
+        Some(root) => format!("{}.seed{root}.telemetry.jsonl", cell.figure),
+    }
 }
 
-/// Run one cell capturing into a caller-supplied [`EventLog`]. The serve
-/// path hands in a log it keeps a clone of, so a connection thread can
-/// stream the cell's telemetry ([`hpn_telemetry::EventStream`]) while the
-/// cell still runs; the result's `events` are the complete segment either
-/// way, so downstream manifest/fingerprint handling is identical.
+/// Execute one cell in isolation on the current thread, streaming its
+/// telemetry into `out` as it runs.
+///
+/// Builds the cell's [`SimCtx`] — recorder teeing into `out` and the
+/// registry, sweep root seed from the plan — and passes it to the cell
+/// body. Generic over the body so user-authored scenarios (closures built
+/// by `scenario_cli`) run through the exact same context / telemetry /
+/// fingerprint machinery as the registered experiments. `out` is the
+/// cell's JSONL file, a serve connection's sink, an in-memory buffer, or a
+/// [`NullRecorder`] when nothing is written; it is flushed before the
+/// context is dropped.
 pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
     cell: &Cell,
     scale: Scale,
-    log: EventLog,
+    out: Box<dyn Recorder>,
     f: F,
 ) -> CellResult {
     let start = std::time::Instant::now();
-    assert!(log.is_empty(), "cell log must start empty");
     let registry = Arc::new(Mutex::new(Registry::new()));
     let mut ctx = SimCtx::new().with_recorder(SharedRecorder::new(Box::new(CellSink {
-        log: log.clone(),
+        out,
         registry: registry.clone(),
     })));
     if let Some(root) = cell.seed {
@@ -202,8 +213,8 @@ pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
         label: cell_label(cell, scale, ctx.allocator()),
     });
     let report = f(&ctx, scale);
+    ctx.recorder().flush();
     drop(ctx);
-    let events = log.take();
     // All recorder handles are gone (the experiment's simulators were
     // dropped with it), so the registry Arc is ours alone.
     let registry = Arc::try_unwrap(registry)
@@ -214,24 +225,57 @@ pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
         fingerprint: figure_fingerprint(&report),
         report,
         registry,
-        events,
         wall: start.elapsed(),
     }
+}
+
+/// An I/O error that names the path it happened at.
+fn at_path(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 /// Run an arbitrary batch of `(cell, body)` tasks across `jobs` workers
 /// and return results in plan (index) order. `jobs <= 1` is the exact
 /// sequential path (no pool).
-pub fn run_cells<F>(tasks: Vec<(Cell, F)>, scale: Scale, jobs: usize) -> Vec<CellResult>
+///
+/// With `out_dir`, the directory is created before any cell runs and each
+/// cell streams its telemetry into `out_dir/`[`telemetry_file`]; without
+/// it, no JSONL is encoded at all. An error names the path that could not
+/// be created; a cell whose file cannot be created does not run.
+pub fn run_cells<F>(
+    tasks: Vec<(Cell, F)>,
+    scale: Scale,
+    jobs: usize,
+    out_dir: Option<&Path>,
+) -> io::Result<Vec<CellResult>>
 where
     F: Fn(&SimCtx, Scale) -> Report + Send + Sync,
 {
-    pool::run_indexed(jobs, tasks, move |_, (cell, f)| run_cell(&cell, scale, f))
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| at_path(dir, e))?;
+    }
+    pool::run_indexed(jobs, tasks, move |_, (cell, f)| {
+        let out: Box<dyn Recorder> = match out_dir {
+            None => Box::new(NullRecorder),
+            Some(dir) => {
+                let path = dir.join(telemetry_file(&cell));
+                Box::new(JsonlRecorder::create(&path).map_err(|e| at_path(&path, e))?)
+            }
+        };
+        Ok(run_cell_into(&cell, scale, out, f))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Run every cell of the plan across `jobs` workers and return results in
-/// plan order. `jobs <= 1` is the exact sequential path (no pool).
-pub fn run_plan(plan: &RunPlan, jobs: usize) -> Vec<CellResult> {
+/// plan order; `out_dir` is as for [`run_cells`]. `jobs <= 1` is the exact
+/// sequential path (no pool).
+pub fn run_plan(
+    plan: &RunPlan,
+    jobs: usize,
+    out_dir: Option<&Path>,
+) -> io::Result<Vec<CellResult>> {
     let tasks: Vec<(Cell, ExperimentFn)> = plan
         .cells()
         .into_iter()
@@ -240,11 +284,13 @@ pub fn run_plan(plan: &RunPlan, jobs: usize) -> Vec<CellResult> {
             (c, f)
         })
         .collect();
-    run_cells(tasks, plan.scale, jobs)
+    run_cells(tasks, plan.scale, jobs, out_dir)
 }
 
-/// Write one manifest per sweep seed (`manifest-seed<root>.json`) plus the
-/// per-cell telemetry streams, and return the manifests in seed order.
+/// Write one manifest per sweep seed (`manifest-seed<root>.json`, or
+/// `manifest.json` for a plain run) into `out_dir`, and return the
+/// manifests in seed order. The cells already streamed their telemetry
+/// there, and [`run_cells`] created the directory.
 ///
 /// The manifests record what the run *produced* — seed, figures,
 /// fingerprints, telemetry summaries — never how it was scheduled: `jobs`
@@ -255,9 +301,6 @@ pub fn write_sweep_outputs(
     results: &[CellResult],
     out_dir: Option<&Path>,
 ) -> io::Result<Vec<RunManifest>> {
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir)?;
-    }
     let mut manifests = Vec::new();
     for &seed in &plan.seeds {
         let mut manifest = RunManifest::new(
@@ -286,21 +329,14 @@ pub fn write_sweep_outputs(
                     manifest.set_param(&format!("{}.{k}", r.cell.figure), v);
                 }
             }
-            if let Some(dir) = out_dir {
-                let name = match seed {
-                    None => format!("{}.telemetry.jsonl", r.cell.figure),
-                    Some(root) => format!("{}.seed{root}.telemetry.jsonl", r.cell.figure),
-                };
-                let mut jsonl = JsonlRecorder::create(&dir.join(name))?;
-                replay(&r.events, &mut jsonl);
-            }
         }
         if let Some(dir) = out_dir {
             let name = match seed {
                 None => "manifest.json".to_string(),
                 Some(root) => format!("manifest-seed{root}.json"),
             };
-            manifest.write(&dir.join(name))?;
+            let path = dir.join(name);
+            manifest.write(&path).map_err(|e| at_path(&path, e))?;
         }
         manifests.push(manifest);
     }
@@ -417,24 +453,53 @@ mod tests {
             .is_ok());
     }
 
+    /// A fresh scratch directory for one test run.
+    fn scratch_dir(label: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hpn-runner-{}-{label}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("clear scratch dir");
+        }
+        dir
+    }
+
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         let plan = RunPlan::figures_only(&CHEAP, Scale::Quick);
-        let seq = run_plan(&plan, 1);
-        let par = run_plan(&plan, 4);
+        let (seq_dir, par_dir) = (scratch_dir("seq"), scratch_dir("par"));
+        let seq = run_plan(&plan, 1, Some(&seq_dir)).expect("sequential run");
+        let par = run_plan(&plan, 4, Some(&par_dir)).expect("parallel run");
         assert_eq!(summaries(&seq), summaries(&par));
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.report.to_json(), b.report.to_json(), "{}", a.cell.figure);
-            assert_eq!(a.events, b.events, "{} telemetry drifted", a.cell.figure);
+            let file = telemetry_file(&a.cell);
+            let read = |dir: &Path| std::fs::read(dir.join(&file)).expect("cell telemetry file");
+            let jsonl = read(&seq_dir);
+            assert!(jsonl.starts_with(b"{\"ev\":\"sim_start\""), "{file}");
+            assert_eq!(jsonl, read(&par_dir), "{} telemetry drifted", a.cell.figure);
         }
+        for dir in [seq_dir, par_dir] {
+            std::fs::remove_dir_all(dir).expect("remove scratch dir");
+        }
+    }
+
+    #[test]
+    fn telemetry_file_names_sweep_cells_by_seed() {
+        let mut cell = Cell {
+            index: 0,
+            figure: "fig06".into(),
+            seed: None,
+        };
+        assert_eq!(telemetry_file(&cell), "fig06.telemetry.jsonl");
+        cell.seed = Some(3);
+        assert_eq!(telemetry_file(&cell), "fig06.seed3.telemetry.jsonl");
     }
 
     #[test]
     fn sweep_seeds_reproduce_and_decorrelate() {
         let plan_a = RunPlan::sweep(&["fig06"], Scale::Quick, &[1, 2]);
         let plan_b = RunPlan::sweep(&["fig06"], Scale::Quick, &[2]);
-        let a = run_plan(&plan_a, 2);
-        let b = run_plan(&plan_b, 1);
+        let a = run_plan(&plan_a, 2, None).expect("no io without dir");
+        let b = run_plan(&plan_b, 1, None).expect("no io without dir");
         // Different roots change the figure; the same root reproduces it
         // regardless of which plan (or schedule) it ran under.
         assert_ne!(a[0].fingerprint, a[1].fingerprint);
@@ -444,7 +509,7 @@ mod tests {
     #[test]
     fn sweep_outputs_and_variance_report() {
         let plan = RunPlan::sweep(&CHEAP, Scale::Quick, &[1, 2, 3]);
-        let results = run_plan(&plan, 4);
+        let results = run_plan(&plan, 4, None).expect("no io without dir");
         let manifests = write_sweep_outputs(&plan, &results, None).expect("no io without dir");
         assert_eq!(manifests.len(), 3);
         assert_eq!(manifests[0].seed, 1);
@@ -468,8 +533,9 @@ mod tests {
             seeds: vec![Some(5), None, Some(6)],
             scale: Scale::Quick,
         };
-        let mixed_results = run_plan(&mixed, 1);
-        let plain = run_plan(&RunPlan::figures_only(&["fig06"], Scale::Quick), 1);
+        let mixed_results = run_plan(&mixed, 1, None).expect("no io without dir");
+        let plain =
+            run_plan(&RunPlan::figures_only(&["fig06"], Scale::Quick), 1, None).expect("no io");
         assert_eq!(mixed_results[1].fingerprint, plain[0].fingerprint);
         assert_ne!(mixed_results[0].fingerprint, plain[0].fingerprint);
     }

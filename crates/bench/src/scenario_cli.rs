@@ -8,7 +8,7 @@
 //! the same cell machinery as the registered experiments
 //! ([`crate::runner::run_cells`]): per-cell telemetry scope, fingerprint,
 //! manifest and JSONL outputs, `--jobs N` parallelism with plan-order
-//! merge. The reduction is generic — fabric inventory rows, then (when the
+//! results. The reduction is generic — fabric inventory rows, then (when the
 //! scenario declares a workload) a warm-up plus `iterations` training
 //! iterations with the fault schedule replayed at its simulated times.
 

@@ -40,12 +40,13 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hpn_scenario::{ArtifactCache, Scenario};
-use hpn_telemetry::{replay, EventLog, EventStream, JsonlRecorder, Recorder, SharedBuf};
+use hpn_telemetry::{Event, JsonlRecorder, Recorder, SharedBuf};
 
 use crate::report::json_str;
 use crate::runner::{run_cell_into, write_sweep_outputs, Cell, CellResult, RunPlan};
@@ -62,6 +63,9 @@ pub const MANIFEST_SEPARATOR: &str = "---manifest---";
 pub const MAX_BODY: usize = 1 << 20;
 
 const MAX_HEADER: usize = 16 * 1024;
+
+/// Events per [`Msg::Events`] batch a worker sends to its connection.
+const BATCH: usize = 256;
 
 /// Server configuration (the `serve` subcommand's flags).
 #[derive(Clone, Copy, Debug)]
@@ -105,35 +109,83 @@ struct Shared {
     connections: AtomicUsize,
 }
 
+impl Shared {
+    fn new(config: ServeConfig) -> Self {
+        Shared {
+            cache: ArtifactCache::new(),
+            scale: config.scale,
+            jobs: config.jobs.max(1),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            completed: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
+        }
+    }
+}
+
 /// One queued `/scenario/run` request.
 struct Job {
     sc: Scenario,
-    /// The cell's capture log; the connection thread holds a clone and
-    /// streams from it while the worker appends.
-    log: EventLog,
-    state: Arc<JobCell>,
+    /// The worker's end of the job's channel: the cell's telemetry batches
+    /// go down it, then exactly one [`Msg::Done`]. The channel is
+    /// unbounded; it holds at most this connection's unread events.
+    /// Bounding it needs a way to cancel the cell first, or a stalled
+    /// reader would pin the worker.
+    tx: Sender<Msg>,
 }
 
-enum JobState {
-    Queued,
-    Running,
-    Done(Box<CellResult>),
-    Failed(String),
-    /// The connection thread took the result.
-    Taken,
+/// What a worker sends to the connection thread of its job.
+enum Msg {
+    /// The next events of the cell's telemetry, in order.
+    Events(Vec<Event>),
+    /// The cell finished (or panicked); no message follows.
+    Done(Result<Box<CellResult>, String>),
 }
 
-struct JobCell {
-    state: Mutex<JobState>,
-    done: Condvar,
+/// A worker's cell sink: forwards owned events to the connection thread in
+/// batches of [`BATCH`], and the partial tail on `flush`. A failed send
+/// means the client has gone, so the sink drops the rest quietly.
+struct ChannelSink {
+    /// `None` once the receiver has gone.
+    tx: Option<Sender<Msg>>,
+    batch: Vec<Event>,
 }
 
-impl Default for JobCell {
-    fn default() -> Self {
-        JobCell {
-            state: Mutex::new(JobState::Queued),
-            done: Condvar::new(),
+impl ChannelSink {
+    fn new(tx: Sender<Msg>) -> Self {
+        ChannelSink {
+            tx: Some(tx),
+            batch: Vec::with_capacity(BATCH),
         }
+    }
+
+    fn send_batch(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
+        if let Some(tx) = &self.tx {
+            if tx.send(Msg::Events(batch)).is_err() {
+                self.tx = None;
+            }
+        }
+    }
+}
+
+impl Recorder for ChannelSink {
+    fn record(&mut self, ev: &Event) {
+        if self.tx.is_some() {
+            self.batch.push(ev.clone());
+            if self.batch.len() == BATCH {
+                self.send_batch();
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        self.send_batch();
     }
 }
 
@@ -162,17 +214,7 @@ impl Server {
         }
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            cache: ArtifactCache::new(),
-            scale: config.scale,
-            jobs: config.jobs.max(1),
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            completed: AtomicU64::new(0),
-            connections: AtomicUsize::new(0),
-        });
+        let shared = Arc::new(Shared::new(config));
         let workers = (0..shared.jobs)
             .map(|_| {
                 let s = Arc::clone(&shared);
@@ -252,7 +294,7 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-fn worker(shared: &Arc<Shared>) {
+fn worker(shared: &Shared) {
     loop {
         let job = {
             let mut q = shared.queue.lock().expect("serve queue");
@@ -266,31 +308,32 @@ fn worker(shared: &Arc<Shared>) {
                 q = shared.available.wait(q).expect("serve queue");
             }
         };
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        *job.state.state.lock().expect("job state") = JobState::Running;
-        let cell = Cell {
-            index: 0,
-            figure: job.sc.name.clone(),
-            seed: None,
-        };
-        let sc = job.sc.clone();
-        let cache_shared = Arc::clone(shared);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_cell_into(&cell, shared.scale, job.log.clone(), move |ctx, scale| {
-                report_with_latency_cached(ctx, &sc, scale, LatencyMode::Off, &cache_shared.cache)
-            })
-        }));
-        {
-            let mut st = job.state.state.lock().expect("job state");
-            *st = match outcome {
-                Ok(r) => JobState::Done(Box::new(r)),
-                Err(p) => JobState::Failed(panic_message(&p)),
-            };
-        }
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-        shared.completed.fetch_add(1, Ordering::SeqCst);
-        job.state.done.notify_all();
+        execute(shared, job);
     }
+}
+
+/// Run one job's scenario as a cell, streaming its telemetry to the job's
+/// connection, then send [`Msg::Done`] with the result.
+fn execute(shared: &Shared, job: Job) {
+    shared.active.fetch_add(1, Ordering::SeqCst);
+    let Job { sc, tx } = job;
+    let cell = Cell {
+        index: 0,
+        figure: sc.name.clone(),
+        seed: None,
+    };
+    let sink = Box::new(ChannelSink::new(tx.clone()));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        run_cell_into(&cell, shared.scale, sink, |ctx, scale| {
+            report_with_latency_cached(ctx, &sc, scale, LatencyMode::Off, &shared.cache)
+        })
+    }));
+    shared.active.fetch_sub(1, Ordering::SeqCst);
+    shared.completed.fetch_add(1, Ordering::SeqCst);
+    // A failed send means the client has gone: there is no one to tell.
+    let _ = tx.send(Msg::Done(
+        outcome.map(Box::new).map_err(|p| panic_message(&*p)),
+    ));
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -513,19 +556,14 @@ fn drain_rejected(reader: BufReader<TcpStream>) {
 /// are those of `scenario run --out`: the JSONL part equals
 /// `<name>.telemetry.jsonl`, the manifest part equals `manifest.json`.
 fn stream_run(shared: &Arc<Shared>, mut stream: TcpStream, sc: Scenario) -> io::Result<()> {
-    let log = EventLog::new();
-    let state = Arc::new(JobCell::default());
+    let (tx, rx) = mpsc::channel();
     {
         let mut q = shared.queue.lock().expect("serve queue");
         if shared.shutdown.load(Ordering::SeqCst) {
             drop(q);
             return respond_error(&mut stream, &HttpError::new(503, "server is shutting down"));
         }
-        q.push_back(Job {
-            sc,
-            log: log.clone(),
-            state: Arc::clone(&state),
-        });
+        q.push_back(Job { sc, tx });
     }
     shared.available.notify_one();
 
@@ -533,33 +571,26 @@ fn stream_run(shared: &Arc<Shared>, mut stream: TcpStream, sc: Scenario) -> io::
         b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\
           Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
     )?;
-    let mut cursor = EventStream::new(log);
     let mut jsonl = JsonlRecorder::new(ChunkedWriter::new(stream));
-    let outcome = loop {
-        if cursor.pump(&mut jsonl) > 0 {
-            Recorder::flush(&mut jsonl);
-        }
-        let st = state.state.lock().expect("job state");
-        match &*st {
-            JobState::Done(_) => {
-                let mut st = st;
-                let JobState::Done(r) = std::mem::replace(&mut *st, JobState::Taken) else {
-                    unreachable!("matched Done above");
-                };
-                break Ok(r);
+    // Workers drain the queue before they exit, and every job ends with
+    // `Done`; the fallback only covers a worker that died outright.
+    let mut outcome = Err("the worker dropped the job".to_string());
+    for msg in rx {
+        match msg {
+            Msg::Events(batch) => {
+                for ev in &batch {
+                    jsonl.record(ev);
+                }
+                Recorder::flush(&mut jsonl);
             }
-            JobState::Failed(msg) => break Err(msg.clone()),
-            JobState::Queued | JobState::Running | JobState::Taken => {
-                let _ = state
-                    .done
-                    .wait_timeout(st, Duration::from_millis(10))
-                    .expect("job state");
+            Msg::Done(done) => {
+                outcome = done;
+                break;
             }
         }
-    };
+    }
     match outcome {
         Ok(result) => {
-            cursor.finish(&result.events, &mut jsonl);
             let mut out = jsonl.into_inner();
             let plan = RunPlan {
                 figures: vec![result.cell.figure.clone()],
@@ -717,12 +748,11 @@ pub fn oracle_bytes(sc: &Scenario, scale: Scale) -> (Vec<u8>, String) {
         figure: sc.name.clone(),
         seed: None,
     };
-    let result = run_cell_into(&cell, scale, EventLog::new(), |ctx, scale| {
+    let buf = SharedBuf::new();
+    let sink = Box::new(JsonlRecorder::new(buf.clone()));
+    let result = run_cell_into(&cell, scale, sink, |ctx, scale| {
         report_with_latency(ctx, sc, scale, LatencyMode::Off)
     });
-    let buf = SharedBuf::new();
-    let mut sink = JsonlRecorder::new(buf.clone());
-    replay(&result.events, &mut sink);
     let plan = RunPlan {
         figures: vec![cell.figure],
         seeds: vec![None],
@@ -859,6 +889,57 @@ mod tests {
         assert_eq!(stats.path_hits, 1, "second run reused the route set");
         server.stop();
         server.join();
+    }
+
+    #[test]
+    fn worker_streams_batches_in_order_then_done() {
+        let shared = Shared::new(ServeConfig::new());
+        let sc = Scenario::parse_toml(&tiny_toml()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        execute(&shared, Job { sc: sc.clone(), tx });
+        // `execute` dropped its sender, so the receiver drains and ends.
+        let msgs: Vec<Msg> = rx.into_iter().collect();
+        let (done, batches) = msgs.split_last().expect("at least Done");
+        assert!(
+            matches!(done, Msg::Done(Ok(_))),
+            "the last message is Done(Ok)"
+        );
+        let batches: Vec<&Vec<Event>> = batches
+            .iter()
+            .map(|m| match m {
+                Msg::Events(b) => b,
+                Msg::Done(_) => panic!("Done arrived before the last event"),
+            })
+            .collect();
+        let (tail, full) = batches.split_last().expect("the cell emitted events");
+        assert!(!full.is_empty(), "the cell fills at least one batch");
+        assert!(full.iter().all(|b| b.len() == BATCH), "fixed-size batches");
+        assert!((1..=BATCH).contains(&tail.len()), "flush sends the tail");
+        // In order: re-encoded, the batches are the oracle's JSONL.
+        let buf = SharedBuf::new();
+        let mut jsonl = JsonlRecorder::new(buf.clone());
+        for ev in batches.iter().flat_map(|b| b.iter()) {
+            jsonl.record(ev);
+        }
+        assert_eq!(buf.bytes(), oracle_bytes(&sc, Scale::Quick).0);
+        assert_eq!(shared.completed.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn sink_drops_events_quietly_once_the_client_is_gone() {
+        let (tx, rx) = mpsc::channel();
+        drop(rx);
+        let mut sink = ChannelSink::new(tx);
+        for t_ns in 0..3 * BATCH as u64 {
+            sink.record(&Event::LinkState {
+                t_ns,
+                link: 0,
+                up: true,
+            });
+        }
+        sink.flush();
+        assert!(sink.tx.is_none(), "the failed send was noticed");
+        assert!(sink.batch.is_empty(), "nothing is held for a gone client");
     }
 
     #[test]

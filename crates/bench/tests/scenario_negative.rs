@@ -224,3 +224,64 @@ fn removed_flags_are_unknown_flags() {
         assert_diagnostic_exit(&out, &format!("unknown flag '{flag}'"));
     }
 }
+
+/// The shipped smallest example scenario.
+fn tiny_smoke() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios/tiny_smoke.toml")
+}
+
+/// A regular file where an output directory is expected.
+fn file_in_the_way(name: &str) -> PathBuf {
+    write_scenario(name, "not a directory\n")
+}
+
+#[test]
+fn out_path_that_is_a_file_fails_before_any_cell_runs() {
+    let commands: [(&str, Vec<String>); 3] = [
+        (
+            "scenario-run-out",
+            vec![
+                "scenario".into(),
+                "run".into(),
+                tiny_smoke().display().to_string(),
+                "--quick".into(),
+            ],
+        ),
+        (
+            "run-out",
+            vec!["run".into(), "fig01".into(), "--quick".into()],
+        ),
+        ("gate-out", vec!["gate".into(), "--quick".into()]),
+    ];
+    for (name, args) in commands {
+        let out_path = file_in_the_way(name);
+        let out = bin()
+            .args(&args)
+            .arg("--out")
+            .arg(&out_path)
+            .output()
+            .expect("run hpn-experiments");
+        assert_diagnostic_exit(&out, &out_path.display().to_string());
+        assert!(
+            out.stdout.is_empty(),
+            "{name}: no report is printed when --out is unusable: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+#[test]
+fn cell_file_that_cannot_be_created_is_a_diagnostic_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("hpn-scenario-neg-cell-{}", std::process::id()));
+    let blocked = dir.join("tiny-smoke.telemetry.jsonl");
+    std::fs::create_dir_all(&blocked).expect("pre-create a directory at the cell's file");
+    let out = bin()
+        .args(["scenario", "run"])
+        .arg(tiny_smoke())
+        .args(["--quick", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("run hpn-experiments");
+    assert_diagnostic_exit(&out, &blocked.display().to_string());
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}

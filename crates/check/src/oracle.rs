@@ -801,7 +801,8 @@ fn check_telemetry(events: &[Event], final_flows: usize) -> Result<(), Failure> 
 /// * **Merge determinism** — replaying the stream through one registry
 ///   must produce byte-identical latency summaries to replaying each
 ///   `SimStart`-delimited segment through its own registry and merging
-///   in order: exactly the reduction `--jobs N` performs.
+///   in order, so [`Registry::merge`] is exact for any caller that folds
+///   per-segment aggregates.
 fn check_latency_sketches(events: &[Event]) -> Result<(), Failure> {
     let mut sequential = Registry::new();
     replay(events, &mut sequential);

@@ -51,6 +51,6 @@ pub use event::Event;
 pub use manifest::{flat_map_json, git_describe, parse_flat_map, RunManifest};
 pub use recorder::{JsonlRecorder, NullRecorder, Recorder, SharedBuf};
 pub use registry::{FlowMetrics, LatencyMetrics, LinkMetrics, RecomputeMetrics, Registry};
-pub use segment::{merge_segments, replay, EventLog, EventStream};
+pub use segment::{replay, EventLog};
 pub use sha256::{hex_digest, Sha256};
 pub use share::SharedRecorder;

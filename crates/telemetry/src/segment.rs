@@ -1,21 +1,17 @@
-//! Per-cell event segments and their ordered merge.
+//! In-memory event capture for small runs.
 //!
-//! A parallel experiment runner executes cells (figure × seed × allocator)
-//! on worker threads, each with its own per-cell recorder handed in
-//! through its `SimCtx`. Every cell captures its events into an
-//! [`EventLog`] — an owned, `Send`able segment — and the coordinator
-//! merges the segments back **in plan order**, not completion order. Because every segment begins with its own
-//! [`Event::SimStart`], the merged stream still satisfies the sim-time
-//! monotonicity contract *per segment*: replaying it through a
-//! [`JsonlRecorder`](crate::JsonlRecorder) re-validates exactly what a
-//! sequential run would have produced, byte for byte.
+//! An [`EventLog`] keeps every event a run emits, so a test or a fuzz
+//! oracle can inspect the stream after the run; [`replay`] feeds a captured
+//! stream into any other sink. Capture grows with run length, so the
+//! experiment runner and `serve` never use it: a runner cell streams its
+//! telemetry straight to the cell's own output as it runs.
 
 use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
 use crate::recorder::Recorder;
 
-/// A clonable in-memory event capture: the segment buffer of one run cell.
+/// A clonable in-memory event capture.
 ///
 /// Clones share one buffer (like [`SharedBuf`](crate::SharedBuf)), so a
 /// handle can be kept outside the boxed [`Recorder`] a session carries,
@@ -46,8 +42,7 @@ impl EventLog {
         self.0.lock().expect("event log").clone()
     }
 
-    /// Drain the captured events, leaving the log empty. This is how a
-    /// worker thread hands its cell's telemetry back to the coordinator.
+    /// Drain the captured events, leaving the log empty.
     pub fn take(&self) -> Vec<Event> {
         std::mem::take(&mut *self.0.lock().expect("event log"))
     }
@@ -59,99 +54,7 @@ impl Recorder for EventLog {
     }
 }
 
-/// A forwarding cursor over a live [`EventLog`]: repeatedly [`pump`]s the
-/// events appended since the last call into a sink, without draining the
-/// log. Because the log is append-only while a cell runs (the producer
-/// only [`take`](EventLog::take)s at the very end) and every segment opens
-/// with [`Event::SimStart`], pumping preserves the per-segment sim-time
-/// monotonicity contract — a downstream [`JsonlRecorder`](crate::JsonlRecorder)
-/// over a socket writer re-validates exactly the bytes a post-hoc
-/// [`replay`] would produce.
-///
-/// The cursor holds the lock only long enough to clone the new tail, so a
-/// streaming reader never blocks the simulation for more than a batch
-/// copy.
-///
-/// [`pump`]: EventStream::pump
-pub struct EventStream {
-    log: EventLog,
-    pos: usize,
-}
-
-impl EventStream {
-    /// A cursor positioned at the start of `log`.
-    pub fn new(log: EventLog) -> Self {
-        EventStream { log, pos: 0 }
-    }
-
-    /// How many events this cursor has forwarded so far.
-    pub fn forwarded(&self) -> usize {
-        self.pos
-    }
-
-    /// Forward every event appended since the last pump into `sink`,
-    /// returning how many were forwarded. Does not flush the sink.
-    pub fn pump(&mut self, sink: &mut dyn Recorder) -> usize {
-        let tail: Vec<Event> = {
-            let buf = self.log.0.lock().expect("event log");
-            if self.pos >= buf.len() {
-                return 0;
-            }
-            buf[self.pos..].to_vec()
-        };
-        for ev in &tail {
-            sink.record(ev);
-        }
-        self.pos += tail.len();
-        tail.len()
-    }
-
-    /// Forward the rest of a *finished* cell from its collected segment:
-    /// the producer has already [`take`](EventLog::take)n the log (so the
-    /// live buffer is empty), and `events` is that complete segment. The
-    /// already-pumped prefix is skipped; everything after the cursor is
-    /// forwarded. Returns how many events were forwarded.
-    pub fn finish(mut self, events: &[Event], sink: &mut dyn Recorder) -> usize {
-        // Drain any stragglers still in the live buffer first (the
-        // producer may not have taken the log at all). After this, `pos`
-        // counts forwarded events — an index into the full segment whether
-        // they came from the live buffer or from `events`.
-        let live = self.pump(sink);
-        let rest = &events[self.pos.min(events.len())..];
-        for ev in rest {
-            sink.record(ev);
-        }
-        sink.flush();
-        live + rest.len()
-    }
-}
-
-/// Merge per-cell segments **in the given (plan) order** into one stream.
-///
-/// # Panics
-/// Panics if a non-empty segment does not begin with [`Event::SimStart`]:
-/// without the segment marker, a downstream monotonic sink could not tell
-/// where one cell's clock ends and the next begins, and the merge would be
-/// silently unsound.
-pub fn merge_segments<I>(segments: I) -> Vec<Event>
-where
-    I: IntoIterator<Item = Vec<Event>>,
-{
-    let mut out = Vec::new();
-    for (i, seg) in segments.into_iter().enumerate() {
-        if let Some(first) = seg.first() {
-            assert!(
-                matches!(first, Event::SimStart { .. }),
-                "segment {i} does not begin with sim_start (got {first:?}); \
-                 each cell must open its own run segment"
-            );
-        }
-        out.extend(seg);
-    }
-    out
-}
-
-/// Replay a merged stream into any sink (e.g. a
+/// Replay a captured stream into any sink (e.g. a
 /// [`JsonlRecorder`](crate::JsonlRecorder), which re-checks per-segment
 /// sim-time monotonicity, or a [`Registry`](crate::Registry), which
 /// aggregates exactly as it would have live).
@@ -165,19 +68,6 @@ pub fn replay(events: &[Event], sink: &mut dyn Recorder) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{JsonlRecorder, SharedBuf};
-
-    fn seg(label: &str, stamps: &[u64]) -> Vec<Event> {
-        let mut v = vec![Event::SimStart {
-            label: label.into(),
-        }];
-        v.extend(stamps.iter().map(|&t| Event::LinkState {
-            t_ns: t,
-            link: 1,
-            up: true,
-        }));
-        v
-    }
 
     #[test]
     fn event_log_captures_and_drains() {
@@ -194,76 +84,5 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(log.is_empty(), "take drains the shared buffer");
         assert_eq!(events[1].t_ns(), 3);
-    }
-
-    #[test]
-    fn merged_segments_replay_through_a_monotonic_sink() {
-        // Segment B's clock restarts below segment A's last stamp — legal,
-        // because each segment opens with SimStart.
-        let merged = merge_segments(vec![seg("a", &[5, 9]), seg("b", &[1, 2]), Vec::new()]);
-        assert_eq!(merged.len(), 6);
-        let buf = SharedBuf::new();
-        let mut sink = JsonlRecorder::new(buf.clone());
-        replay(&merged, &mut sink);
-        assert_eq!(sink.events(), 6);
-        let text = buf.text();
-        assert_eq!(text.lines().count(), 6);
-        // Plan order, not completion order: a's events precede b's.
-        assert!(text.find("\"label\":\"a\"").unwrap() < text.find("\"label\":\"b\"").unwrap());
-    }
-
-    #[test]
-    fn event_stream_pumps_incrementally_and_matches_replay() {
-        let log = EventLog::new();
-        let mut producer: Box<dyn Recorder> = Box::new(log.clone());
-        let mut stream = EventStream::new(log.clone());
-        let streamed = SharedBuf::new();
-        let mut out = JsonlRecorder::new(streamed.clone());
-
-        let segment = seg("cell", &[1, 2, 3, 4]);
-        producer.record(&segment[0]);
-        producer.record(&segment[1]);
-        assert_eq!(stream.pump(&mut out), 2);
-        assert_eq!(stream.pump(&mut out), 0, "no new events, nothing pumped");
-        producer.record(&segment[2]);
-        assert_eq!(stream.pump(&mut out), 1);
-        producer.record(&segment[3]);
-        producer.record(&segment[4]);
-        // Producer hands the finished segment over (as the runner does).
-        let collected = log.take();
-        assert_eq!(stream.finish(&collected, &mut out), 2);
-
-        // Byte-identical to a post-hoc replay of the collected segment.
-        let replayed = SharedBuf::new();
-        let mut sink = JsonlRecorder::new(replayed.clone());
-        replay(&segment, &mut sink);
-        assert_eq!(streamed.text(), replayed.text());
-    }
-
-    #[test]
-    fn event_stream_finish_skips_the_pumped_prefix() {
-        let log = EventLog::new();
-        let mut producer: Box<dyn Recorder> = Box::new(log.clone());
-        let segment = seg("cell", &[7]);
-        for ev in &segment {
-            producer.record(ev);
-        }
-        // Never pumped live; the full segment arrives at finish time while
-        // the live buffer still holds everything.
-        let stream = EventStream::new(log.clone());
-        let streamed = SharedBuf::new();
-        let mut out = JsonlRecorder::new(streamed.clone());
-        assert_eq!(stream.finish(&log.events(), &mut out), 2);
-        assert_eq!(streamed.text().lines().count(), 2, "no duplicate lines");
-    }
-
-    #[test]
-    #[should_panic(expected = "does not begin with sim_start")]
-    fn merge_rejects_unmarked_segments() {
-        merge_segments(vec![vec![Event::LinkState {
-            t_ns: 0,
-            link: 0,
-            up: true,
-        }]]);
     }
 }

@@ -1,15 +1,11 @@
-//! Interleaved per-thread segments must merge into a stream that still
-//! passes the per-segment sim-time monotonicity check, and the merged
-//! `Registry` aggregates must equal a sequential run's.
+//! Per-thread segments must be schedule-independent, and per-segment
+//! `Registry` aggregates merged in order must equal a sequential run's.
 //!
 //! Each cell carries its recorder in an explicit [`SimCtx`] — the handle
 //! is `Send`, so the context itself crosses into the worker thread, which
 //! is exactly how the parallel experiment runner ships recorders to cells.
 
-use hpn_telemetry::{
-    merge_segments, replay, Event, EventLog, JsonlRecorder, Registry, SharedBuf, SharedRecorder,
-    SimCtx,
-};
+use hpn_telemetry::{replay, Event, EventLog, Registry, SharedRecorder, SimCtx};
 
 /// Emit one cell's synthetic telemetry through the context's recorder —
 /// the same path simulations use — with a clock that restarts at zero.
@@ -70,20 +66,6 @@ fn sequential_segments(cells: u32, events_per_cell: u64) -> Vec<Vec<Event>> {
             log.take()
         })
         .collect()
-}
-
-#[test]
-fn interleaved_thread_segments_merge_monotonically() {
-    let segments = parallel_segments(6, 50);
-    let merged = merge_segments(segments);
-    // Each cell restarts its clock at zero, so a merged stream only passes
-    // the JSONL monotonicity check if every segment kept its SimStart
-    // marker — replay() would panic otherwise.
-    let buf = SharedBuf::new();
-    let mut jsonl = JsonlRecorder::new(buf.clone());
-    replay(&merged, &mut jsonl);
-    assert_eq!(jsonl.events() as usize, merged.len());
-    assert_eq!(buf.text().lines().count(), 6 * (1 + 2 * 50));
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! Two layers:
 //!
 //! * A fast subset (always on) over the cheap stochastic figures — every
-//!   file `write_sweep_outputs` produces (figures, JSONL telemetry,
-//!   manifests) is byte-compared between a sequential and two parallel
-//!   runs.
+//!   file a run writes (the cells' JSONL telemetry, the manifests) is
+//!   byte-compared between a sequential and two parallel runs — and the
+//!   JSONL of four cells against the checked-in SHA-256s in
+//!   `tests/golden/telemetry_hashes.json`.
 //! * The full gate (fig13–fig19) at `jobs=1` vs `jobs=8` vs `jobs=8`, and
 //!   once more under the dense reference allocator against the same
 //!   goldens — both `#[ignore]`d here because a debug-build gate takes
@@ -129,7 +130,7 @@ mod allocator {
                 })
             })
             .collect();
-        for r in run_cells(tasks, Scale::Quick, 2) {
+        for r in run_cells(tasks, Scale::Quick, 2, None).expect("no io without an out dir") {
             let id = r.cell.figure.as_str();
             assert_eq!(
                 r.fingerprint, figures[id],
@@ -230,20 +231,81 @@ fn workload_kind_examples_are_byte_identical_at_jobs_1_and_8() {
                 })
             })
             .collect();
-        let results = run_cells(tasks, Scale::Quick, jobs);
+        let dir = tmp_dir(&format!("determinism-kinds-{label}"));
+        let results = run_cells(tasks, Scale::Quick, jobs, Some(&dir)).expect("write telemetry");
         let plan = RunPlan {
             figures: labels,
             seeds: vec![None],
             scale: Scale::Quick,
         };
-        let dir = tmp_dir(&format!("determinism-kinds-{label}"));
-        write_sweep_outputs(&plan, &results, Some(&dir)).expect("write outputs");
+        write_sweep_outputs(&plan, &results, Some(&dir)).expect("write manifest");
         dir_bytes(&dir)
     };
 
     let jobs1 = outputs(1, "jobs1");
     let jobs8 = outputs(8, "jobs8");
     assert_trees_equal(&jobs1, &jobs8, "workload-kind examples jobs=1 vs jobs=8");
+}
+
+#[test]
+fn telemetry_bytes_match_the_checked_in_hashes() {
+    // The JSONL a cell writes is pinned, not just compared across `--jobs`:
+    // fig19 and three example scenarios at quick scale must reproduce the
+    // SHA-256s in tests/golden/telemetry_hashes.json byte for byte.
+    use hpn::telemetry::parse_flat_map;
+    use hpn_bench::runner::{run_cells, Cell};
+    use hpn_bench::scenario_cli::{self, LatencyMode};
+    use hpn_bench::SimCtx;
+
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let golden = root.join("tests/golden/telemetry_hashes.json");
+    let want = parse_flat_map(&std::fs::read_to_string(&golden).expect("read golden file"))
+        .expect("golden file parses");
+
+    let dir = tmp_dir("determinism-telemetry-golden");
+    let figure = RunPlan::figures_only(&["fig19"], Scale::Quick);
+    run_plan(&figure, 1, Some(&dir)).expect("write fig19 telemetry");
+    let tasks: Vec<(Cell, _)> = ["moe_a2a.toml", "trace_replay.toml", "tiny_smoke.toml"]
+        .iter()
+        .enumerate()
+        .map(|(index, f)| {
+            let sc = scenario_cli::load(&root.join("examples/scenarios").join(f))
+                .expect("example parses and validates");
+            let cell = Cell {
+                index,
+                figure: sc.name.clone(),
+                seed: None,
+            };
+            (cell, move |ctx: &SimCtx, scale| {
+                scenario_cli::report_with_latency(ctx, &sc, scale, LatencyMode::Off)
+            })
+        })
+        .collect();
+    run_cells(tasks, Scale::Quick, 2, Some(&dir)).expect("write scenario telemetry");
+
+    let got: BTreeMap<String, String> = dir_bytes(&dir)
+        .into_iter()
+        .map(|(name, bytes)| {
+            let cell = name
+                .strip_suffix(".telemetry.jsonl")
+                .expect("only JSONL files");
+            (cell.to_string(), hex_digest(&bytes))
+        })
+        .collect();
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "cells differ from {}",
+        golden.display()
+    );
+    for (cell, sha) in &got {
+        assert_eq!(
+            sha,
+            &want[cell],
+            "{cell} telemetry drifted from {}",
+            golden.display()
+        );
+    }
 }
 
 #[test]
@@ -256,8 +318,8 @@ fn quick_subset_parallel_matches_sequential_byte_for_byte() {
     let mut reports = Vec::new();
     for (label, jobs) in [("jobs1", 1usize), ("jobs4-a", 4), ("jobs4-b", 4)] {
         let dir = tmp_dir(&format!("determinism-subset-{label}"));
-        let results = run_plan(&plan, jobs);
-        let manifests = write_sweep_outputs(&plan, &results, Some(&dir)).expect("write outputs");
+        let results = run_plan(&plan, jobs, Some(&dir)).expect("write telemetry");
+        let manifests = write_sweep_outputs(&plan, &results, Some(&dir)).expect("write manifests");
         assert_eq!(manifests.len(), 2, "one manifest per sweep seed");
         trees.push(dir_bytes(&dir));
         reports.push(variance_json(&plan, &results));
