@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpn_routing::hash::EcmpHasher;
 use hpn_routing::repac;
 use hpn_routing::{FiveTuple, HashMode, LinkHealth, RouteRequest, Router};
-use hpn_sim::{AllocatorKind, FlowNet, FlowSpec, SimDuration, SimTime};
+use hpn_sim::{AllocatorKind, FlowNet, FlowSpec, RecomputeScope, SimDuration, SimTime};
 use hpn_topology::HpnConfig;
 
 fn bench_flownet_recompute(c: &mut Criterion) {
@@ -122,14 +122,7 @@ fn bench_allocator_churn(c: &mut Criterion) {
                     }
                     net.recompute_if_dirty();
                 });
-                let scope = net.alloc_scope().since(&warm);
-                eprintln!(
-                    "allocator/{name}/{n}: {:.1} flows + {:.1} links touched per event \
-                     ({:.4} of active flows)",
-                    scope.mean_flows_touched(),
-                    scope.mean_links_touched(),
-                    scope.touched_fraction(),
-                );
+                print_churn_scope(&format!("allocator/{name}/{n}"), &net, &warm, i);
             });
         }
     }
@@ -214,13 +207,11 @@ fn bench_allocator_churn(c: &mut Criterion) {
             }
             net.recompute_if_dirty();
         });
-        let scope = net.alloc_scope().since(&warm);
-        eprintln!(
-            "allocator/incremental_turnover/{n}: {:.1} flows + {:.1} links touched per event \
-             ({:.4} of active flows)",
-            scope.mean_flows_touched(),
-            scope.mean_links_touched(),
-            scope.touched_fraction(),
+        print_churn_scope(
+            &format!("allocator/incremental_turnover/{n}"),
+            &net,
+            &warm,
+            i,
         );
     });
     group.finish();
@@ -276,15 +267,24 @@ fn bench_component_churn(
             }
             net.recompute_if_dirty();
         });
-        let scope = net.alloc_scope().since(&warm);
-        eprintln!(
-            "allocator/{name}/{n}: {:.1} flows + {:.1} links touched per event \
-             ({:.4} of active flows)",
-            scope.mean_flows_touched(),
-            scope.mean_links_touched(),
-            scope.touched_fraction(),
-        );
+        print_churn_scope(&format!("allocator/{name}/{n}"), &net, &warm, i);
     });
+}
+
+/// Print the allocator work a churn bench did since `warm`, per churn
+/// event (one kill/start pair; `events` of them) rather than per solve:
+/// the events of one bench iteration share one solve.
+fn print_churn_scope(label: &str, net: &FlowNet, warm: &RecomputeScope, events: usize) {
+    let scope = net.alloc_scope().since(warm);
+    let per_event = |x: u64| x as f64 / events.max(1) as f64;
+    eprintln!(
+        "{label}: {:.1} flows + {:.1} links touched per event \
+         ({} solves for {events} events; {:.4} of active flows per solve)",
+        per_event(scope.flows_touched),
+        per_event(scope.links_touched),
+        scope.events,
+        scope.touched_fraction(),
+    );
 }
 
 /// Write `BENCH_alloc.json` at the workspace root from the allocator

@@ -284,8 +284,9 @@ impl Server {
     }
 }
 
-/// Decrements the live-connection count even if the handler panics (e.g. a
-/// client hangs up mid-stream and a telemetry write fails).
+/// Decrements the live-connection count even if the handler panics. (A
+/// client that hangs up mid-stream does not panic it: the failed write
+/// ends the handler with an error.)
 struct ConnGuard<'a>(&'a Shared);
 
 impl Drop for ConnGuard<'_> {
@@ -578,9 +579,12 @@ fn stream_run(shared: &Arc<Shared>, mut stream: TcpStream, sc: Scenario) -> io::
     for msg in rx {
         match msg {
             Msg::Events(batch) => {
+                // A client that hangs up fails the write; returning drops
+                // `rx`, so the worker's sink discards the rest quietly.
                 for ev in &batch {
-                    jsonl.record(ev);
+                    jsonl.try_record(ev)?;
                 }
+                // `TcpStream::flush` cannot fail: the stream is unbuffered.
                 Recorder::flush(&mut jsonl);
             }
             Msg::Done(done) => {

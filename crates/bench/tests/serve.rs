@@ -8,6 +8,10 @@ use hpn_bench::serve::{
 use hpn_bench::Scale;
 use hpn_scenario::{FaultsSpec, Injection, ModelId, Scenario, TopologySpec, WorkloadSpec};
 use hpn_topology::HpnConfig;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn training(name: &str) -> Scenario {
     Scenario::new(name, TopologySpec::Hpn(HpnConfig::tiny()))
@@ -163,4 +167,75 @@ fn run_response_shape_is_jsonl_then_manifest() {
     assert_eq!(manifest, want_manifest.as_bytes());
     server.stop();
     server.join();
+}
+
+/// A client that hangs up mid-stream costs the server only that
+/// connection: the failed telemetry write ends the connection thread with
+/// an error rather than a panic, `/status` still answers, and the next run
+/// still matches the oracle byte for byte.
+#[test]
+fn client_hanging_up_mid_stream_leaves_the_server_serving() {
+    static WRITE_PANICS: AtomicUsize = AtomicUsize::new(0);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let p = info.payload();
+        let msg = p
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| p.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if msg.starts_with("write telemetry") {
+            WRITE_PANICS.fetch_add(1, Ordering::SeqCst);
+        }
+        hook(info);
+    }));
+
+    let server = spawn(1);
+    // Long enough that most of the stream is still to come at hang-up.
+    let long = Scenario::new("hangup", TopologySpec::Hpn(HpnConfig::tiny())).with_workload(
+        WorkloadSpec::new(ModelId::Llama7b, 2, 2, 64)
+            .gpu_secs(0.05)
+            .iters(40),
+    );
+    let body = long.to_toml();
+    let mut client = TcpStream::connect(server.addr()).expect("connect");
+    write!(
+        client,
+        "POST /scenario/run HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send request");
+    let mut head = [0u8; 64];
+    client.read_exact(&mut head).expect("response starts");
+    assert!(
+        head.starts_with(b"HTTP/1.1 200"),
+        "{:?}",
+        String::from_utf8_lossy(&head)
+    );
+    // Closing with unread bytes resets the connection: the server's next
+    // write fails.
+    drop(client);
+
+    // The worker still finishes the abandoned cell; the server answers
+    // `/status` throughout.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let (status, body) = request(server.addr(), "GET", "/status", b"").expect("status");
+        assert_eq!(status, 200);
+        if String::from_utf8_lossy(&body).contains("\"completed\":1") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "abandoned cell never finished");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    diff_vs_oracle(server.addr(), &training("after-hangup"), Scale::Quick)
+        .expect("the next run matches the oracle");
+    server.stop();
+    server.join();
+    assert_eq!(
+        WRITE_PANICS.load(Ordering::SeqCst),
+        0,
+        "a connection thread panicked on the hang-up"
+    );
 }

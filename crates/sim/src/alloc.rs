@@ -174,8 +174,11 @@ pub struct AllocCtx<'a> {
 ///
 /// `FlowNet` calls the `on_*` hooks eagerly as the network mutates (they
 /// must stay cheap — O(path length)) and `recompute` lazily, once, before
-/// rates are next observed; multiple mutations may batch into one
-/// `recompute`.
+/// rates are next observed. All the mutations between two reads of rates
+/// (typically every mutation of one simulated instant) batch into one
+/// `recompute`: a flow may be added and removed, or a link toggled twice,
+/// with no `recompute` between, and the result must be the one a
+/// `recompute` after every hook would have left.
 pub trait RateAllocator: Send {
     /// Which kind this is (for reporting).
     fn kind(&self) -> AllocatorKind;
@@ -637,6 +640,8 @@ pub struct IncrementalMaxMin {
     /// makes removal a swap-remove instead of a scan. The records carry the
     /// `(path, demand)` problem row, so
     /// [`IncrementalMaxMin::closure_grouped`] never touches the flow arena.
+    /// Like `link_mark`, it covers only the links up to the highest one a
+    /// flow or a link change has named (see [`IncrementalMaxMin::cover`]).
     members: Vec<Vec<Member>>,
     /// Links perturbed since the last recompute (seeds; may repeat).
     dirty: Vec<u32>,
@@ -732,6 +737,19 @@ impl IncrementalMaxMin {
         dirty.clear();
     }
 
+    /// Grow the per-link tables (`members`, `link_mark`) to cover `link`.
+    /// They grow on first use rather than per `add_link`, so setting up a
+    /// large net that is never run (or runs on a few of its links) costs
+    /// no allocator memory; every dirty seed and every member's link is
+    /// covered by the time a closure reads it.
+    fn cover(&mut self, link: LinkId) {
+        let n = link.0 as usize + 1;
+        if self.members.len() < n {
+            self.members.resize_with(n, Vec::new);
+            self.link_mark.resize(n, 0);
+        }
+    }
+
     /// Assert the membership table's invariants: every member entry's
     /// `pos` points back at it, every live flow has one entry per path
     /// occurrence on the right link, and the slab holds exactly the live
@@ -774,11 +792,6 @@ impl RateAllocator for IncrementalMaxMin {
         AllocatorKind::Incremental
     }
 
-    fn on_link_added(&mut self, _link: LinkId) {
-        self.members.push(Vec::new());
-        self.link_mark.push(0);
-    }
-
     fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
         // A reused slot hands its `pos` buffer on to the new flow.
         let (slot, mut pos) = match self.free.pop() {
@@ -787,6 +800,7 @@ impl RateAllocator for IncrementalMaxMin {
         };
         pos.clear();
         for (k, l) in path.iter().enumerate() {
+            self.cover(*l);
             let m = &mut self.members[l.0 as usize];
             pos.push(m.len() as u32);
             m.push(Member { slot, k: k as u32 });
@@ -824,6 +838,7 @@ impl RateAllocator for IncrementalMaxMin {
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
+        self.cover(link);
         self.dirty.push(link.0);
     }
 
@@ -1173,6 +1188,31 @@ mod tests {
             "churn too tame"
         );
         assert!(checks.load(std::sync::atomic::Ordering::Relaxed) > 400);
+    }
+
+    /// The per-link tables cover only links a flow or a link change has
+    /// named: adding links allocates nothing, and the first use of a link
+    /// grows them just far enough.
+    #[test]
+    fn per_link_tables_grow_on_first_use() {
+        let mut paths = PathInterner::new();
+        let mut alloc = IncrementalMaxMin::default();
+        for l in 0..1000 {
+            alloc.on_link_added(LinkId(l));
+        }
+        assert!(alloc.members.is_empty() && alloc.link_mark.is_empty());
+        alloc.on_link_changed(LinkId(7));
+        assert_eq!((alloc.members.len(), alloc.link_mark.len()), (8, 8));
+        let path = paths.intern(&[LinkId(3), LinkId(20)]);
+        let spec = FlowSpec {
+            path,
+            size_bits: 1.0,
+            demand_bps: 1.0,
+            tag: 0,
+        };
+        alloc.on_flow_added(0, &spec, paths.get(path));
+        assert_eq!((alloc.members.len(), alloc.link_mark.len()), (21, 21));
+        alloc.check_membership(&paths);
     }
 
     /// Slab slots are reused: many add/remove cycles with a bounded number

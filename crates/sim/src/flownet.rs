@@ -15,6 +15,17 @@
 //! default an incremental implementation recomputes only the connected
 //! component of flows around each perturbation (see [`crate::alloc`]).
 //!
+//! **One solve per simulated instant.** Mutations (flow starts, kills and
+//! completions, link up/down and capacity changes) only mark the allocator
+//! dirty; rates are solved when something reads them: a positive-step
+//! integration, [`FlowNet::next_completion`], [`FlowNet::flow_rate`],
+//! [`FlowNet::aggregate_rate`], an attached tail estimator, or an explicit
+//! [`FlowNet::recompute_if_dirty`]. A collective step that starts or ends
+//! hundreds of flows at one instant therefore costs one solve, not one per
+//! flow. This is exact: a component's rates and link aggregates are a pure
+//! function of its live flows, so solving the same final state once gives
+//! the bits that solving after every change would.
+//!
 //! Two measurement facilities drive the paper's figures:
 //!
 //! * **Carried bits per link** — integrated rate, for the Aggregation-switch
@@ -277,6 +288,12 @@ impl FlowNet {
         self.clock
     }
 
+    /// Make room for `additional` more links, so a net built link by link
+    /// allocates its link table once instead of regrowing it.
+    pub fn reserve_links(&mut self, additional: usize) {
+        self.links.reserve_exact(additional);
+    }
+
     /// Add a link with the given capacity (bits/s) and queue buffer (bits).
     pub fn add_link(&mut self, capacity_bps: f64, buffer_bits: f64) -> LinkId {
         assert!(capacity_bps >= 0.0, "negative link capacity");
@@ -361,6 +378,14 @@ impl FlowNet {
     }
 
     /// Read-only view of a link's state.
+    ///
+    /// The rate-derived fields — `active_flows`, `allocated_bps`,
+    /// `offered_bps` and so [`LinkState::utilization`] — are current only
+    /// after a solve: same-instant mutations leave them stale until the
+    /// next reader solves, so call [`FlowNet::recompute_if_dirty`] (or a
+    /// solving reader such as [`FlowNet::aggregate_rate`]) first. The
+    /// integrated fields (`queue_bits`, `carried_bits`, `dropped_bits`,
+    /// `peak_queue_bits`) are current up to [`FlowNet::clock`].
     pub fn link(&self, id: LinkId) -> &LinkState {
         &self.links[id.0 as usize]
     }
@@ -541,7 +566,8 @@ impl FlowNet {
             .sum()
     }
 
-    /// Recompute fair-share rates if topology/flow membership changed.
+    /// Recompute fair-share rates if topology/flow membership changed
+    /// since the last solve; every change since then is solved at once.
     pub fn recompute_if_dirty(&mut self) {
         if self.rates_dirty {
             let before = self.scope;
@@ -575,6 +601,11 @@ impl FlowNet {
     }
 
     /// Apply progress/queues from `clock` to `now` using current rates.
+    ///
+    /// Solves pending rate changes only when `now` is past the clock: a
+    /// zero step reads no rate, so the starts, kills, completions and link
+    /// changes of one instant pile up in the allocator's dirty seeds and
+    /// the next reader solves them once.
     fn integrate_to(&mut self, now: SimTime) {
         assert!(
             now >= self.clock,
@@ -582,9 +613,9 @@ impl FlowNet {
             now,
             self.clock
         );
-        self.recompute_if_dirty();
         let dt = (now - self.clock).as_secs_f64();
         if dt > 0.0 {
+            self.recompute_if_dirty();
             for (_, f) in self.flows.iter_mut() {
                 if f.rate_bps > 0.0 {
                     f.remaining_bits = (f.remaining_bits - f.rate_bps * dt).max(0.0);
@@ -680,17 +711,36 @@ mod tests {
         let s2 = spec(&mut net, &l, 100.0 * GBPS, f64::INFINITY, 2);
         let _h2 = net.start_flow(SimTime::ZERO, s2);
         net.kill_flow(SimTime::ZERO, h1);
+        assert_eq!(
+            counts.lock().unwrap().recomputes,
+            0,
+            "mutations only mark dirty"
+        );
         let t = net.next_completion().expect("one flow left");
+        assert_eq!(
+            counts.lock().unwrap().recomputes,
+            1,
+            "two starts and a kill at one instant share one solve"
+        );
         let done = net.advance(t);
         assert_eq!(done.len(), 1);
         net.set_link_up(l[0], false);
         net.set_link_up(l[0], false); // no-op: no state change, no callback
+        assert_eq!(
+            counts.lock().unwrap().recomputes,
+            1,
+            "advance solved nothing new"
+        );
+        net.recompute_if_dirty();
         let c = *counts.lock().unwrap();
         assert_eq!(c.flows_added, 2);
         assert_eq!(c.flows_killed, 1);
         assert_eq!(c.flows_completed, 1);
         assert_eq!(c.link_changes, 1);
-        assert!(c.recomputes >= 2, "at least kill + completion recomputes");
+        assert_eq!(
+            c.recomputes, 2,
+            "the completion and the link change share one more"
+        );
         assert_eq!(
             *fcts.lock().unwrap(),
             [done[0].finished - done[0].started],
@@ -969,6 +1019,163 @@ mod tests {
                     .any(|s| s.active_flows == 0 && s.queue_bits > 0.0);
             }
             assert!(queue_only_seen, "{kind:?}: no link was hot by queue alone");
+        }
+    }
+
+    /// Assert that two nets driven by the same operations hold bitwise
+    /// equal state once each has solved what it has pending (as any reader
+    /// of rates would): every listed flow's rate and remaining bits, every
+    /// link's rate-derived and integrated fields, and the hot set.
+    fn assert_nets_bitwise_equal(
+        a: &mut FlowNet,
+        b: &mut FlowNet,
+        live: &[FlowHandle],
+        what: &str,
+    ) {
+        a.recompute_if_dirty();
+        b.recompute_if_dirty();
+        for &h in live {
+            let (ra, rb) = (a.flow_rate(h), b.flow_rate(h));
+            assert_eq!(
+                ra.map(f64::to_bits),
+                rb.map(f64::to_bits),
+                "{what}: rate of {h:?}"
+            );
+            let (qa, qb) = (a.flow_remaining(h), b.flow_remaining(h));
+            assert_eq!(
+                qa.map(f64::to_bits),
+                qb.map(f64::to_bits),
+                "{what}: remaining of {h:?}"
+            );
+        }
+        for i in 0..a.link_count() {
+            let (x, y) = (a.link(LinkId(i as u32)), b.link(LinkId(i as u32)));
+            let bits = |s: &LinkState| {
+                (
+                    s.active_flows,
+                    s.allocated_bps.to_bits(),
+                    s.offered_bps.to_bits(),
+                    s.queue_bits.to_bits(),
+                    s.carried_bits.to_bits(),
+                    s.dropped_bits.to_bits(),
+                )
+            };
+            assert_eq!(bits(x), bits(y), "{what}: link {i}");
+        }
+        assert_eq!(
+            a.hot_links.sorted_checked(),
+            b.hot_links.sorted_checked(),
+            "{what}: hot set"
+        );
+    }
+
+    /// The one-solve-per-instant contract. Two nets take the same seeded
+    /// operations, including bursts of same-instant starts, kills and link
+    /// toggles; the eager one is solved after every change (the schedule
+    /// where each mutation forced its own solve), the batched one only when
+    /// a reader asks. After every `advance` both hold bitwise equal rates,
+    /// remaining bits, completions and link state, and the batched net
+    /// never solves more often.
+    #[test]
+    fn batched_solves_match_the_eager_schedule_bitwise() {
+        use crate::rng::Xoshiro256;
+        for kind in [AllocatorKind::Dense, AllocatorKind::Incremental] {
+            let mut rng = Xoshiro256::seed_from_u64(0xba7c);
+            let mut eager = FlowNet::with_allocator(kind);
+            let mut batched = FlowNet::with_allocator(kind);
+            let links: Vec<LinkId> = (0..12)
+                .map(|i| {
+                    let cap = (40.0 + 20.0 * (i % 5) as f64) * GBPS;
+                    eager.add_link(cap, 1e11);
+                    batched.add_link(cap, 1e11)
+                })
+                .collect();
+            let mut live: Vec<FlowHandle> = Vec::new();
+            let mut down = vec![false; links.len()];
+            let mut t = SimTime::ZERO;
+            let mut tag = 0u64;
+            let mut burst_ops = 0;
+            for step in 0..300 {
+                // A burst of changes at the current instant, then one
+                // advance to a later instant (or, now and then, this one).
+                let burst = 1 + rng.next_below(12);
+                for _ in 0..burst {
+                    match rng.next_below(8) {
+                        0..=3 => {
+                            let hops = 1 + rng.next_below(3) as usize;
+                            let mut path: Vec<LinkId> = Vec::new();
+                            while path.len() < hops {
+                                let l = *rng.choose(&links);
+                                if !path.contains(&l) {
+                                    path.push(l);
+                                }
+                            }
+                            let demand = if rng.chance(0.25) {
+                                f64::INFINITY
+                            } else {
+                                rng.uniform(10.0, 120.0) * GBPS
+                            };
+                            let size = rng.uniform(0.1, 10.0) * GBPS;
+                            tag += 1;
+                            let s = spec(&mut eager, &path, size, demand, tag);
+                            let h = eager.start_flow(t, s);
+                            let s = spec(&mut batched, &path, size, demand, tag);
+                            assert_eq!(batched.start_flow(t, s), h);
+                            live.push(h);
+                        }
+                        4 | 5 if !live.is_empty() => {
+                            let h = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+                            assert_eq!(eager.kill_flow(t, h), batched.kill_flow(t, h));
+                        }
+                        6 => {
+                            let i = rng.next_below(links.len() as u64) as usize;
+                            down[i] = !down[i];
+                            eager.set_link_up(links[i], !down[i]);
+                            batched.set_link_up(links[i], !down[i]);
+                        }
+                        _ => {}
+                    }
+                    eager.recompute_if_dirty();
+                    burst_ops += 1;
+                }
+                if !rng.chance(0.1) {
+                    t += SimDuration::from_micros(1 + rng.next_below(200_000));
+                }
+                let done_eager = eager.advance(t);
+                eager.recompute_if_dirty();
+                let done_batched = batched.advance(t);
+                let key = |d: &[Completion]| -> Vec<(FlowHandle, u64, SimTime, SimTime, u64)> {
+                    d.iter()
+                        .map(|c| {
+                            (
+                                c.handle,
+                                c.tag,
+                                c.started,
+                                c.finished,
+                                c.size_bits.to_bits(),
+                            )
+                        })
+                        .collect()
+                };
+                assert_eq!(
+                    key(&done_eager),
+                    key(&done_batched),
+                    "{kind:?}: step {step} completions"
+                );
+                live.retain(|h| !done_eager.iter().any(|c| c.handle == *h));
+                let what = format!("{kind:?}: step {step}");
+                assert_nets_bitwise_equal(&mut eager, &mut batched, &live, &what);
+                assert!(
+                    batched.alloc_scope().events <= eager.alloc_scope().events,
+                    "{what}: batched net solved more often"
+                );
+            }
+            let (e, b) = (eager.alloc_scope().events, batched.alloc_scope().events);
+            assert!(burst_ops > 1000, "{kind:?}: too few burst operations");
+            assert!(
+                2 * b < e,
+                "{kind:?}: bursts did not batch ({b} vs {e} solves)"
+            );
         }
     }
 

@@ -72,6 +72,32 @@ impl<W: Write + Send> JsonlRecorder<W> {
         self.events
     }
 
+    /// Record one event, returning the sink's write error instead of
+    /// panicking on it: a sink that can fail mid-run (a client socket)
+    /// uses this, [`Recorder::record`] the rest.
+    ///
+    /// # Panics
+    /// Panics if `ev` is earlier than the previous event of the segment.
+    pub fn try_record(&mut self, ev: &Event) -> std::io::Result<()> {
+        if matches!(ev, Event::SimStart { .. }) {
+            self.last_t_ns = 0;
+        } else {
+            let t = ev.t_ns();
+            assert!(
+                t >= self.last_t_ns,
+                "telemetry time went backwards: {} < {} at {:?}",
+                t,
+                self.last_t_ns,
+                ev
+            );
+            self.last_t_ns = t;
+        }
+        self.events += 1;
+        let line = ev.to_json();
+        self.out.write_all(line.as_bytes())?;
+        self.out.write_all(b"\n")
+    }
+
     /// Finish and hand back the sink.
     pub fn into_inner(mut self) -> W {
         self.out.flush().expect("flush telemetry sink");
@@ -90,25 +116,7 @@ impl JsonlRecorder<std::io::BufWriter<std::fs::File>> {
 
 impl<W: Write + Send> Recorder for JsonlRecorder<W> {
     fn record(&mut self, ev: &Event) {
-        if matches!(ev, Event::SimStart { .. }) {
-            self.last_t_ns = 0;
-        } else {
-            let t = ev.t_ns();
-            assert!(
-                t >= self.last_t_ns,
-                "telemetry time went backwards: {} < {} at {:?}",
-                t,
-                self.last_t_ns,
-                ev
-            );
-            self.last_t_ns = t;
-        }
-        self.events += 1;
-        let line = ev.to_json();
-        self.out
-            .write_all(line.as_bytes())
-            .expect("write telemetry");
-        self.out.write_all(b"\n").expect("write telemetry");
+        self.try_record(ev).expect("write telemetry");
     }
 
     fn flush(&mut self) {

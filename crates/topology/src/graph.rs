@@ -257,6 +257,7 @@ impl Network {
     /// `LinkId(i)`.
     pub fn to_flownet(&self, kind: hpn_sim::AllocatorKind) -> FlowNet {
         let mut net = FlowNet::with_allocator(kind);
+        net.reserve_links(self.links.len());
         for l in &self.links {
             let id = net.add_link(l.cap_bps, l.buffer_bits);
             debug_assert_eq!(id.0 as usize, net.link_count() - 1);

@@ -251,7 +251,11 @@ fn workload_kind_examples_are_byte_identical_at_jobs_1_and_8() {
 fn telemetry_bytes_match_the_checked_in_hashes() {
     // The JSONL a cell writes is pinned, not just compared across `--jobs`:
     // fig19 and three example scenarios at quick scale must reproduce the
-    // SHA-256s in tests/golden/telemetry_hashes.json byte for byte.
+    // SHA-256s in tests/golden/telemetry_hashes.json byte for byte. Each
+    // cell has two: `<cell>` over the whole stream and
+    // `<cell>/no_rate_recompute` over the stream without its
+    // `rate_recompute` lines. The second pair only moves when something
+    // other than the allocator's solve schedule changes.
     use hpn::telemetry::parse_flat_map;
     use hpn_bench::runner::{run_cells, Cell};
     use hpn_bench::scenario_cli::{self, LatencyMode};
@@ -285,11 +289,23 @@ fn telemetry_bytes_match_the_checked_in_hashes() {
 
     let got: BTreeMap<String, String> = dir_bytes(&dir)
         .into_iter()
-        .map(|(name, bytes)| {
+        .flat_map(|(name, bytes)| {
             let cell = name
                 .strip_suffix(".telemetry.jsonl")
-                .expect("only JSONL files");
-            (cell.to_string(), hex_digest(&bytes))
+                .expect("only JSONL files")
+                .to_string();
+            let text = String::from_utf8(bytes).expect("JSONL is UTF-8");
+            let kept: String = text
+                .split_inclusive('\n')
+                .filter(|l| !l.contains("\"ev\":\"rate_recompute\""))
+                .collect();
+            [
+                (
+                    format!("{cell}/no_rate_recompute"),
+                    hex_digest(kept.as_bytes()),
+                ),
+                (cell, hex_digest(text.as_bytes())),
+            ]
         })
         .collect();
     assert_eq!(
