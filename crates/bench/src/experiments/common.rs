@@ -17,7 +17,7 @@
 //! gone; nothing in this crate is ambient anymore.
 
 use hpn_collectives::{bw, graph, CommConfig, Communicator, Runner};
-use hpn_core::{placement, TrainingSession};
+use hpn_core::{placement, WorkloadSession};
 use hpn_scenario::{Scenario, TopologySpec};
 use hpn_sim::SimDuration;
 use hpn_telemetry::SimCtx;
@@ -80,8 +80,8 @@ pub fn scenario_cluster(ctx: &SimCtx, sc: &Scenario) -> ClusterSim {
 }
 
 /// Build a workload-bearing scenario into its cluster runtime and a fresh
-/// training session.
-pub fn scenario_session(ctx: &SimCtx, sc: &Scenario) -> (ClusterSim, TrainingSession) {
+/// session.
+pub fn scenario_session(ctx: &SimCtx, sc: &Scenario) -> (ClusterSim, WorkloadSession) {
     let mut built = sc
         .build_with(ctx)
         .unwrap_or_else(|e| panic!("scenario '{}' failed to build: {e}", sc.name));
@@ -89,7 +89,7 @@ pub fn scenario_session(ctx: &SimCtx, sc: &Scenario) -> (ClusterSim, TrainingSes
         .workload
         .take()
         .unwrap_or_else(|| panic!("scenario '{}' declares no workload", sc.name));
-    (built.cluster, w.training_session())
+    (built.cluster, w.session())
 }
 
 /// Which collective a sweep runs.
@@ -159,7 +159,7 @@ pub fn size_sweep(scale: Scale) -> Vec<f64> {
 /// Warm up + time `iters` iterations; returns mean samples/s.
 pub fn mean_samples_per_sec(
     cs: &mut ClusterSim,
-    session: &mut TrainingSession,
+    session: &mut WorkloadSession,
     iters: usize,
 ) -> f64 {
     session.run_iterations(cs, iters + 1);

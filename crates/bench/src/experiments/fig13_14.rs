@@ -48,7 +48,8 @@ fn measure(ctx: &SimCtx, topo: TopologySpec, scale: Scale) -> PortStats {
     );
     let (mut cs, session) = common::scenario_session(ctx, &scenario);
     let watched: Vec<[hpn_sim::LinkId; 2]> = session
-        .job
+        .job()
+        .expect("training workload")
         .hosts
         .iter()
         .map(|&h| {

@@ -74,7 +74,10 @@ fn run_on(
         a.1.push(t, maxq);
     });
     session.run_iterations(&mut cs, iters + 1);
-    let segments = hpn_core::placement::segments_spanned(&cs.fabric, &session.job.hosts);
+    let segments = hpn_core::placement::segments_spanned(
+        &cs.fabric,
+        &session.job().expect("training workload").hosts,
+    );
     let a = acc.lock().expect("sampler accumulator");
     RunOut {
         samples_per_sec: session.mean_throughput(1),

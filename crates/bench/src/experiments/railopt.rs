@@ -42,7 +42,10 @@ fn train(ctx: &SimCtx, scale: Scale, rail_optimized: bool) -> Out {
             .min_timeout(600.0),
     );
     let (mut cs, mut session) = common::scenario_session(ctx, &scenario);
-    let segments = hpn_core::placement::segments_spanned(&cs.fabric, &session.job.hosts);
+    let segments = hpn_core::placement::segments_spanned(
+        &cs.fabric,
+        &session.job().expect("training workload").hosts,
+    );
     session.run_iterations(&mut cs, scale.pick(3, 2) + 1);
 
     // Cross-Aggregation traffic: bits carried on ToR→Agg links.

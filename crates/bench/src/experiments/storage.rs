@@ -33,7 +33,7 @@ fn train_with_storage(ctx: &SimCtx, scale: Scale, storage_in_backend: bool) -> f
     );
     let (mut cs, mut session) = common::scenario_session(ctx, &scenario);
     let rails = cs.fabric.host_params.rails;
-    debug_assert_eq!(session.job.hosts, job_hosts);
+    debug_assert_eq!(session.job().map(|j| &j.hosts), Some(&job_hosts));
     session.run_iterations(&mut cs, 2);
 
     if storage_in_backend {

@@ -15,7 +15,6 @@
 use std::path::Path;
 
 use hpn_core::{IterationOutcome, WorkloadSession};
-use hpn_faults::{FaultEvent, FaultKind};
 use hpn_routing::HashMode;
 use hpn_scenario::{ArtifactCache, Scenario, ScenarioError};
 use hpn_sim::{LinkDecompositionEstimator, QuantileSketch, TimeSeries};
@@ -92,32 +91,6 @@ pub fn load(path: &Path) -> Result<Scenario, ScenarioError> {
     Ok(sc)
 }
 
-/// Pre-schedule the fault plan on the simulator's own timeline, so faults
-/// strike mid-iteration exactly when the schedule says — the session keeps
-/// driving the cluster while cable timers fire underneath it.
-fn schedule_faults(cs: &mut ClusterSim, schedule: &[FaultEvent]) {
-    for ev in schedule {
-        match ev.kind {
-            FaultKind::LinkFailure { link, repair_after } => {
-                cs.schedule_cable_event(ev.at, link, false);
-                cs.schedule_cable_event(ev.at + repair_after, link, true);
-            }
-            FaultKind::LinkFlap { link, duration } => {
-                cs.schedule_cable_event(ev.at, link, false);
-                cs.schedule_cable_event(ev.at + duration, link, true);
-            }
-            FaultKind::TorCrash { tor, repair_after } => {
-                // Cable events fail both directions, so the ToR's out-links
-                // cover every cable `hpn_faults::apply` would touch.
-                for link in cs.fabric.net.out_links(tor).collect::<Vec<_>>() {
-                    cs.schedule_cable_event(ev.at, link, false);
-                    cs.schedule_cable_event(ev.at + repair_after, link, true);
-                }
-            }
-        }
-    }
-}
-
 fn run_workload(
     r: &mut Report,
     cs: &mut ClusterSim,
@@ -158,8 +131,8 @@ fn run_workload(
             session.mean_throughput(1)
         ),
     );
-    if let Some(mj) = session.as_multi_job() {
-        add_multi_job_rows(r, mj);
+    if let Some(stats) = session.job_stats() {
+        add_multi_job_rows(r, stats);
     }
     r.push_series(series);
     if timeouts > 0 {
@@ -173,8 +146,7 @@ fn run_workload(
 
 /// Per-job placement, fragmentation and interference rows for a
 /// `multi-job` run (the Fig 6 scheduler experiment).
-fn add_multi_job_rows(r: &mut Report, mj: &hpn_core::MultiJobSession) {
-    let stats = mj.job_stats();
+fn add_multi_job_rows(r: &mut Report, stats: &[hpn_core::JobStats]) {
     let mut spanning = 0usize;
     for (i, js) in stats.iter().enumerate() {
         let label = format!("job {i}");
@@ -268,10 +240,10 @@ pub fn report_with_latency(
 /// [`report_with_latency`] with every cacheable build phase routed through
 /// `cache` ([`Scenario::build_cached`]), and the finished run's artifacts
 /// harvested back so the next same-shape request starts warm. This is the
-/// serve path; the batch CLI stays cache-free. With memo sharing off (the
-/// default) the output is byte-identical to the uncached path — fabric and
-/// router are immutable shares and the warmed path interner never reaches
-/// output bytes (DESIGN.md §9).
+/// serve path; the batch CLI stays cache-free. The output is
+/// byte-identical to the uncached path — fabric and router are immutable
+/// shares and the warmed path interner never reaches output bytes
+/// (DESIGN.md §9).
 pub fn report_with_latency_cached(
     ctx: &SimCtx,
     sc: &Scenario,
@@ -358,7 +330,7 @@ fn report_from_session(
         Some(w) => {
             r.row("workload", w.describe());
             let iterations = scale.pick(w.iterations, w.iterations.min(2));
-            schedule_faults(&mut built.cluster, &built.faults);
+            hpn_faults::schedule(&mut built.cluster, &built.faults);
             if latency.wants_estimate() {
                 built
                     .cluster

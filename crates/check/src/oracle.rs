@@ -585,43 +585,12 @@ impl ClusterApp for Nop {
     fn on_message_complete(&mut self, _: &mut ClusterSim, _: MessageDone) {}
 }
 
-/// Mirror of the runner's fault replay: pre-schedule every fault as cable
-/// events (fail at `at`, repair after the fault's duration).
-fn schedule_faults(cs: &mut ClusterSim, schedule: &[hpn_faults::FaultEvent]) {
-    use hpn_faults::FaultKind;
-    for ev in schedule {
-        match ev.kind {
-            FaultKind::LinkFailure { link, repair_after } => {
-                cs.schedule_cable_event(ev.at, link, false);
-                cs.schedule_cable_event(ev.at + repair_after, link, true);
-            }
-            FaultKind::LinkFlap { link, duration } => {
-                cs.schedule_cable_event(ev.at, link, false);
-                cs.schedule_cable_event(ev.at + duration, link, true);
-            }
-            FaultKind::TorCrash { tor, repair_after } => {
-                let links: Vec<LinkIdx> = cs.fabric.net.out_links(tor).collect();
-                for l in links {
-                    cs.schedule_cable_event(ev.at, l, false);
-                    cs.schedule_cable_event(ev.at + repair_after, l, true);
-                }
-            }
-        }
-    }
-}
-
 /// Latest instant the fault schedule still has scheduled activity, with
 /// never-repaired sentinels clamped so the drain deadline stays finite.
 fn fault_horizon(schedule: &[hpn_faults::FaultEvent]) -> SimTime {
-    use hpn_faults::FaultKind;
     let mut last = SimTime::ZERO;
     for ev in schedule {
-        let dur = match ev.kind {
-            FaultKind::LinkFailure { repair_after, .. } => repair_after,
-            FaultKind::LinkFlap { duration, .. } => duration,
-            FaultKind::TorCrash { repair_after, .. } => repair_after,
-        };
-        let capped = SimDuration::from_secs_f64(dur.as_secs_f64().min(100.0));
+        let capped = SimDuration::from_secs_f64(ev.duration().as_secs_f64().min(100.0));
         let end = ev.at + capped;
         if end > last {
             last = end;
@@ -666,7 +635,7 @@ fn build_and_run(sc: &Scenario, ctx: &SimCtx) -> Result<(usize, usize, LatencyTr
         workload,
         faults,
     } = session;
-    schedule_faults(&mut cs, &faults);
+    hpn_faults::schedule(&mut cs, &faults);
     // Ride the whole session with the tail estimator so every fuzzed
     // scenario cross-validates prediction against simulation for free.
     cs.net

@@ -18,17 +18,23 @@ const SAMPLER_TAG: u64 = u64::MAX;
 
 /// One job: a graph bound to a communicator.
 struct Job {
-    graph: OpGraph,
     comm: usize,
+    /// The graph and its progress tables; dropped when the job finishes.
+    ops: Option<OpTables>,
+    outstanding: usize,
+    started: Option<SimTime>,
+    finished: Option<SimTime>,
+}
+
+/// A live job's graph and per-op progress.
+struct OpTables {
+    graph: OpGraph,
     /// Unsatisfied dependency count per op.
     remaining: Vec<u32>,
     /// Reverse edges: op -> ops that depend on it.
     dependents: Vec<Vec<u32>>,
     /// Ops completed.
     done: Vec<bool>,
-    outstanding: usize,
-    started: Option<SimTime>,
-    finished: Option<SimTime>,
 }
 
 /// Multi-job executor. Implements [`ClusterApp`]; drive it with
@@ -128,11 +134,13 @@ impl Runner {
             }
         }
         self.jobs.push(Job {
-            graph,
             comm,
-            remaining,
-            dependents,
-            done: vec![false; n],
+            ops: Some(OpTables {
+                graph,
+                remaining,
+                dependents,
+                done: vec![false; n],
+            }),
             outstanding: n,
             started: None,
             finished: None,
@@ -146,13 +154,22 @@ impl Runner {
             self.jobs[job].started.is_none(),
             "job {job} already launched"
         );
-        self.jobs[job].started = Some(cs.now());
-        if self.jobs[job].outstanding == 0 {
-            self.jobs[job].finished = Some(cs.now());
+        let j = &mut self.jobs[job];
+        j.started = Some(cs.now());
+        if j.outstanding == 0 {
+            j.finished = Some(cs.now());
+            j.ops = None;
             return;
         }
-        let ready: Vec<u32> = (0..self.jobs[job].graph.len() as u32)
-            .filter(|&i| self.jobs[job].remaining[i as usize] == 0)
+        let ready: Vec<u32> = j
+            .ops
+            .as_ref()
+            .expect("unfinished job keeps its ops")
+            .remaining
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r == 0)
+            .map(|(i, _)| i as u32)
             .collect();
         for op in ready {
             self.issue(cs, job as u32, op);
@@ -214,22 +231,12 @@ impl Runner {
     /// job finished.
     pub fn run_job(&mut self, cs: &mut ClusterSim, job: usize, deadline: SimTime) -> bool {
         self.launch_pending(cs);
-        while self.jobs[job].finished.is_none() {
-            match cs.next_event_time() {
-                Some(t) if t <= deadline => {
-                    cs.step(self);
-                }
-                _ => {
-                    cs.run(self, deadline);
-                    return false;
-                }
-            }
-        }
-        true
+        cs.run_until(self, deadline, |r| r.jobs[job].finished.is_some())
     }
 
     fn issue(&mut self, cs: &mut ClusterSim, job: u32, op: u32) {
-        let kind = self.jobs[job as usize].graph.ops()[op as usize].kind;
+        let ops = self.jobs[job as usize].ops.as_ref();
+        let kind = ops.expect("unfinished job keeps its ops").graph.ops()[op as usize].kind;
         match kind {
             OpKind::Send { src, dst, bits } => {
                 let comm = &mut self.comms[self.jobs[job as usize].comm];
@@ -270,10 +277,22 @@ impl Runner {
 
     fn op_done(&mut self, cs: &mut ClusterSim, job: u32, op: u32) {
         let j = &mut self.jobs[job as usize];
-        debug_assert!(!j.done[op as usize], "op completed twice");
-        j.done[op as usize] = true;
+        let t = j.ops.as_mut().expect("unfinished job keeps its ops");
+        debug_assert!(!t.done[op as usize], "op completed twice");
+        t.done[op as usize] = true;
+        let mut unlocked: Vec<u32> = Vec::new();
+        for &d in &t.dependents[op as usize] {
+            let r = &mut t.remaining[d as usize];
+            *r -= 1;
+            if *r == 0 {
+                unlocked.push(d);
+            }
+        }
         j.outstanding -= 1;
         if j.outstanding == 0 {
+            // Every op is done: free the graph and its tables, keeping
+            // only the job's timing.
+            j.ops = None;
             j.finished = Some(cs.now());
             let dur_ns = j
                 .started
@@ -285,15 +304,6 @@ impl Runner {
                     job,
                     dur_ns,
                 });
-        }
-        let deps = j.dependents[op as usize].clone();
-        let mut unlocked: Vec<u32> = Vec::new();
-        for d in deps {
-            let r = &mut self.jobs[job as usize].remaining[d as usize];
-            *r -= 1;
-            if *r == 0 {
-                unlocked.push(d);
-            }
         }
         for d in unlocked {
             self.issue(cs, job, d);
@@ -417,6 +427,28 @@ mod tests {
             Some(SimDuration::ZERO),
             "no ops, no time"
         );
+    }
+
+    #[test]
+    fn finished_jobs_drop_their_op_tables() {
+        // Sessions add one job per iteration; a finished job must keep
+        // only its timing, or memory grows with every iteration.
+        let mut cs = sim();
+        let mut runner = Runner::new();
+        let c = runner.add_comm(rail0_comm(4, CommConfig::single_path()));
+        for _ in 0..3 {
+            let job = runner.add_job(graph::ring_allreduce(4, GB, 2), c);
+            let deadline = cs.now() + SimDuration::from_secs(60);
+            assert!(runner.run_job(&mut cs, job, deadline));
+        }
+        let empty = runner.add_job(OpGraph::new(), c);
+        let now = cs.now();
+        runner.run(&mut cs, now);
+        assert!(runner.jobs.iter().all(|j| j.ops.is_none()));
+        for job in 0..3 {
+            assert!(runner.job_duration(job).unwrap() > SimDuration::ZERO);
+        }
+        assert_eq!(runner.job_duration(empty), Some(SimDuration::ZERO));
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! * [`placement`] — job placement: segment-first (the scheduler behaviour
 //!   that lets 96.3% of jobs stay inside tier-1) and the §7 policy that
 //!   pushes only PP traffic across pods.
-//! * [`training`] — the end-to-end training session: iterations compiled
-//!   from [`hpn_workload::TrainingJob`], executed over the fabric with
-//!   shared communicators, yielding the samples/s series of Figs 15/16/18.
-//! * [`session`] — the other `[workload] kind`s: trace replay, open-loop
-//!   inference serving, and the Fig 6 multi-job mix, unified behind
-//!   [`session::WorkloadSession`].
+//! * [`session`] — one [`WorkloadSession`] runs every `[workload] kind`
+//!   over the fabric with shared communicators: Megatron training
+//!   iterations compiled from [`hpn_workload::TrainingJob`] (the samples/s
+//!   series of Figs 15/16/18), trace replay, open-loop inference serving,
+//!   and the Fig 6 multi-job mix.
 
 #![warn(missing_docs)]
 
@@ -26,11 +25,7 @@ pub mod ops;
 pub mod placement;
 pub mod scale;
 pub mod session;
-pub mod training;
 
 pub use ops::swap_to_backup;
 pub use placement::{place_cross_pod_pp, place_segment_first, PlacementError};
-pub use session::{
-    JobStats, MultiJobSession, ReplaySession, ServingLoad, ServingSession, WorkloadSession,
-};
-pub use training::{IterationOutcome, IterationRecord, TrainingSession};
+pub use session::{IterationOutcome, IterationRecord, JobStats, ServingLoad, WorkloadSession};

@@ -130,7 +130,7 @@ mod tests {
             rails,
             128,
         );
-        let mut session = crate::TrainingSession::new(job, CommConfig::hpn_default());
+        let mut session = crate::WorkloadSession::training(job, CommConfig::hpn_default());
         let rec = session.run_iteration(&mut cs);
         assert!(
             matches!(rec.outcome, crate::IterationOutcome::Completed { .. }),

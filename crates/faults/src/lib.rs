@@ -10,15 +10,16 @@
 //!
 //! [`FaultRates`] holds the rates, [`plan`] expands them into a
 //! deterministic, seeded event schedule over a concrete fabric, and
-//! [`inject`] replays a schedule into a running
-//! [`hpn_transport::ClusterSim`]. The fig05 experiment also uses the plan
-//! generator standalone to regenerate the monthly failure-ratio series.
+//! [`schedule`] arms a schedule as timers on a
+//! [`hpn_transport::ClusterSim`], so it replays while the cluster runs.
+//! The fig05 experiment also uses the plan generator standalone to
+//! regenerate the monthly failure-ratio series.
 
 #![warn(missing_docs)]
 
 use hpn_sim::{SimDuration, SimTime, Xoshiro256};
 use hpn_topology::{Fabric, LinkIdx, NodeId};
-use hpn_transport::{ClusterApp, ClusterSim};
+use hpn_transport::ClusterSim;
 
 /// Production fault rates.
 #[derive(Clone, Copy, Debug)]
@@ -102,6 +103,15 @@ impl FaultEvent {
             FaultKind::TorCrash { tor, .. } => (self.at, 2, tor.0),
         }
     }
+
+    /// How long the fault lasts: repair delay, or flap duration.
+    pub fn duration(&self) -> SimDuration {
+        match self.kind {
+            FaultKind::LinkFailure { repair_after, .. }
+            | FaultKind::TorCrash { repair_after, .. } => repair_after,
+            FaultKind::LinkFlap { duration, .. } => duration,
+        }
+    }
 }
 
 /// All NIC→ToR uplinks of a fabric (the single-point-of-failure class).
@@ -181,122 +191,27 @@ pub fn plan(
     events
 }
 
-/// Apply one fault to a running cluster, returning the repair action to
-/// schedule (time + closure-free description).
-pub fn apply(cs: &mut ClusterSim, event: &FaultEvent) -> Option<(SimTime, Repair)> {
-    let (kind, target) = match event.kind {
-        FaultKind::LinkFailure { link, .. } => ("link_fail", link.0),
-        FaultKind::LinkFlap { link, .. } => ("link_flap", link.0),
-        FaultKind::TorCrash { tor, .. } => ("tor_crash", tor.0),
-    };
-    cs.telemetry().emit(|| hpn_telemetry::Event::FaultInject {
-        t_ns: cs.now().as_nanos(),
-        kind,
-        target,
-    });
-    match event.kind {
-        FaultKind::LinkFailure { link, repair_after } => {
-            cs.fail_cable(link);
-            Some((cs.now() + repair_after, Repair::Cable(link)))
-        }
-        FaultKind::LinkFlap { link, duration } => {
-            cs.fail_cable(link);
-            Some((cs.now() + duration, Repair::Cable(link)))
-        }
-        FaultKind::TorCrash { tor, repair_after } => {
-            let cables: Vec<LinkIdx> = cs.fabric.net.out_links(tor).collect();
-            for l in &cables {
-                cs.fail_link(*l);
-            }
-            for l in cs.fabric.net.in_links(tor).collect::<Vec<_>>() {
-                cs.fail_link(l);
-            }
-            Some((cs.now() + repair_after, Repair::Tor(tor)))
-        }
-    }
-}
-
-/// A pending repair.
-#[derive(Clone, Copy, Debug)]
-pub enum Repair {
-    /// Both directions of a cable come back.
-    Cable(LinkIdx),
-    /// A whole ToR comes back.
-    Tor(NodeId),
-}
-
-/// Apply a repair.
-pub fn repair(cs: &mut ClusterSim, r: Repair) {
-    let (kind, target) = match r {
-        Repair::Cable(l) => ("cable", l.0),
-        Repair::Tor(tor) => ("tor", tor.0),
-    };
-    cs.telemetry().emit(|| hpn_telemetry::Event::FaultRepair {
-        t_ns: cs.now().as_nanos(),
-        kind,
-        target,
-    });
-    match r {
-        Repair::Cable(l) => cs.repair_cable(l),
-        Repair::Tor(tor) => {
-            for l in cs.fabric.net.out_links(tor).collect::<Vec<_>>() {
-                cs.repair_link(l);
-            }
-            for l in cs.fabric.net.in_links(tor).collect::<Vec<_>>() {
-                cs.repair_link(l);
-            }
-        }
-    }
-}
-
-/// Replay a fault schedule while running an app until `deadline`: the
-/// driver alternates `cs.run(app, next_event_time)` with fault/repair
-/// application, preserving event order.
-pub fn inject<A: ClusterApp>(
-    cs: &mut ClusterSim,
-    app: &mut A,
-    schedule: &[FaultEvent],
-    deadline: SimTime,
-) {
-    let mut pending_repairs: Vec<(SimTime, Repair)> = Vec::new();
-    let mut idx = 0usize;
-    loop {
-        let next_fault = schedule.get(idx).map(|e| e.at).filter(|&t| t <= deadline);
-        let next_repair = pending_repairs
-            .iter()
-            .map(|&(t, _)| t)
-            .min()
-            .filter(|&t| t <= deadline);
-        match (next_fault, next_repair) {
-            (None, None) => {
-                cs.run(app, deadline);
-                return;
-            }
-            (f, r) => {
-                let do_fault = match (f, r) {
-                    (Some(tf), Some(tr)) => tf <= tr,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if do_fault {
-                    let ev = schedule[idx];
-                    idx += 1;
-                    cs.run(app, ev.at);
-                    if let Some(rep) = apply(cs, &ev) {
-                        pending_repairs.push(rep);
-                    }
-                } else {
-                    let pos = pending_repairs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(t, _))| t)
-                        .map(|(i, _)| i)
-                        .expect("non-empty");
-                    let (t, rep) = pending_repairs.swap_remove(pos);
-                    cs.run(app, t);
-                    repair(cs, rep);
-                }
-            }
+/// Replay a fault schedule on the simulator's own timeline: every fault
+/// becomes cable timers, failing at `at` and repairing after
+/// [`FaultEvent::duration`]. The caller then drives the cluster as usual
+/// and faults strike mid-run exactly when the schedule says. A ToR crash
+/// schedules every cable on the switch; cable events take down both
+/// directions, so its out-links cover them all.
+///
+/// Timers fire in (instant, scheduling) order. At one instant, a repair
+/// whose fault comes earlier in `faults` therefore fires before a failure
+/// that comes later, even on the same cable. Link state is boolean: the
+/// first repair to fire brings a cable back, whatever else failed it.
+pub fn schedule(cs: &mut ClusterSim, faults: &[FaultEvent]) {
+    for ev in faults {
+        let repair_at = ev.at + ev.duration();
+        let cables: Vec<LinkIdx> = match ev.kind {
+            FaultKind::LinkFailure { link, .. } | FaultKind::LinkFlap { link, .. } => vec![link],
+            FaultKind::TorCrash { tor, .. } => cs.fabric.net.out_links(tor).collect(),
+        };
+        for link in cables {
+            cs.schedule_cable_event(ev.at, link, false);
+            cs.schedule_cable_event(repair_at, link, true);
         }
     }
 }
@@ -328,11 +243,34 @@ mod tests {
     use super::*;
     use hpn_routing::HashMode;
     use hpn_topology::HpnConfig;
-    use hpn_transport::MessageDone;
+    use hpn_transport::{ClusterApp, MessageDone};
 
     struct Nop;
     impl ClusterApp for Nop {
         fn on_message_complete(&mut self, _: &mut ClusterSim, _: MessageDone) {}
+    }
+
+    /// Arm `faults` on `cs` and run it, with no traffic, until `until`.
+    fn replay_until(cs: &mut ClusterSim, faults: &[FaultEvent], until: SimTime) {
+        schedule(cs, faults);
+        cs.run(&mut Nop, until);
+    }
+
+    /// The JSONL `link_state` line for `link` changing state at `t`.
+    fn link_state_line(t: SimTime, link: LinkIdx, up: bool) -> String {
+        format!(
+            r#"{{"ev":"link_state","t_ns":{},"link":{},"up":{up}}}"#,
+            t.as_nanos(),
+            link.0
+        )
+    }
+
+    /// How many `link_state` lines report a link going `up` (or down).
+    fn link_state_count(text: &str, up: bool) -> usize {
+        let tail = format!(r#""up":{up}}}"#);
+        text.lines()
+            .filter(|l| l.starts_with(r#"{"ev":"link_state""#) && l.ends_with(&tail))
+            .count()
     }
 
     #[test]
@@ -385,8 +323,7 @@ mod tests {
         rates.link_repair = SimDuration::from_secs(3600);
         let horizon = SimDuration::from_secs(30 * 24 * 3600);
         let sched = plan(&cs.fabric, &rates, horizon, seed);
-        let mut app = Nop;
-        inject(&mut cs, &mut app, &sched, SimTime::ZERO + horizon);
+        replay_until(&mut cs, &sched, SimTime::ZERO + horizon);
         cs.telemetry().flush();
         buf.text()
     }
@@ -396,8 +333,8 @@ mod tests {
         let a = telemetry_of_run(11);
         let b = telemetry_of_run(11);
         assert!(!a.is_empty());
-        assert!(a.contains("fault_inject"), "faults recorded");
-        assert!(a.contains("fault_repair"), "repairs recorded");
+        assert!(link_state_count(&a, false) > 0, "faults recorded");
+        assert!(link_state_count(&a, true) > 0, "repairs recorded");
         assert_eq!(a, b, "same seed must replay byte-identically");
         let c = telemetry_of_run(12);
         assert_ne!(a, c, "different seed must perturb the event stream");
@@ -436,19 +373,22 @@ mod tests {
     }
 
     #[test]
-    fn inject_applies_and_repairs() {
+    fn schedule_fails_and_repairs() {
         let f = HpnConfig::tiny().build();
         let mut cs = ClusterSim::new(f, HashMode::Polarized);
         let link = cs.fabric.hosts[0].nic_up[0][0].unwrap();
-        let schedule = vec![FaultEvent {
+        let faults = vec![FaultEvent {
             at: SimTime::from_secs(1),
             kind: FaultKind::LinkFailure {
                 link,
                 repair_after: SimDuration::from_secs(2),
             },
         }];
-        let mut app = Nop;
-        inject(&mut cs, &mut app, &schedule, SimTime::from_secs(10));
+        replay_until(&mut cs, &faults, SimTime::from_secs(2));
+        // Physically down, and routing has converged on it.
+        assert!(!cs.net.link(link.flow_link()).up);
+        assert!(!cs.health.is_up(link));
+        cs.run(&mut Nop, SimTime::from_secs(10));
         assert_eq!(cs.now(), SimTime::from_secs(10));
         // Physically up again and routing view converged.
         assert!(cs.net.link(link.flow_link()).up);
@@ -460,77 +400,71 @@ mod tests {
         let f = HpnConfig::tiny().build();
         let mut cs = ClusterSim::new(f, HashMode::Polarized);
         let tor = cs.fabric.tors[0];
-        let schedule = vec![FaultEvent {
+        let faults = vec![FaultEvent {
             at: SimTime::from_secs(1),
             kind: FaultKind::TorCrash {
                 tor,
                 repair_after: SimDuration::from_secs(3600),
             },
         }];
-        let mut app = Nop;
-        // Stop while the ToR is still down.
-        inject(&mut cs, &mut app, &schedule, SimTime::from_secs(100));
-        let out: Vec<_> = cs.fabric.net.out_links(tor).collect();
-        assert!(out.iter().all(|&l| !cs.net.link(l.flow_link()).up));
+        let ports: Vec<LinkIdx> = cs
+            .fabric
+            .net
+            .out_links(tor)
+            .chain(cs.fabric.net.in_links(tor))
+            .collect();
+        assert!(!ports.is_empty());
+        // Stop while the ToR is still down: every port, both directions.
+        replay_until(&mut cs, &faults, SimTime::from_secs(100));
+        assert!(ports.iter().all(|&l| !cs.net.link(l.flow_link()).up));
+        assert!(ports.iter().all(|&l| !cs.health.is_up(l)));
         // Run past the repair.
-        inject(&mut cs, &mut app, &[], SimTime::from_secs(2 * 3600));
-        // Repairs scheduled by the first inject are lost when we drop the
-        // pending list — so this asserts the *driver contract*: repairs
-        // belong to the same inject call. Re-run the whole scenario in one
-        // call to check repair.
-        let f2 = HpnConfig::tiny().build();
-        let mut cs2 = ClusterSim::new(f2, HashMode::Polarized);
-        let tor2 = cs2.fabric.tors[0];
-        let schedule2 = vec![FaultEvent {
-            at: SimTime::from_secs(1),
-            kind: FaultKind::TorCrash {
-                tor: tor2,
-                repair_after: SimDuration::from_secs(10),
-            },
-        }];
-        inject(&mut cs2, &mut app, &schedule2, SimTime::from_secs(100));
-        let out2: Vec<_> = cs2.fabric.net.out_links(tor2).collect();
-        assert!(out2.iter().all(|&l| cs2.net.link(l.flow_link()).up));
+        cs.run(&mut Nop, SimTime::from_secs(2 * 3600));
+        assert!(ports.iter().all(|&l| cs.net.link(l.flow_link()).up));
+        assert!(ports.iter().all(|&l| cs.health.is_up(l)));
     }
 
     #[test]
     fn zero_duration_repair_leaves_link_up() {
         // A repair_after of zero is a legal degenerate flap: the link must
-        // end (and, observably, stay) up, and both inject + repair
-        // telemetry must still be emitted in order.
+        // end (and, observably, stay) up, and both the failure and the
+        // repair must still be recorded, in order.
         let (ctx, buf) = jsonl_ctx();
         let f = HpnConfig::tiny().build();
         let mut cs = ClusterSim::with_ctx(f, HashMode::Polarized, &ctx);
         let link = cs.fabric.hosts[0].nic_up[0][0].unwrap();
-        let schedule = vec![FaultEvent {
-            at: SimTime::from_secs(1),
+        let at = SimTime::from_secs(1);
+        let faults = vec![FaultEvent {
+            at,
             kind: FaultKind::LinkFailure {
                 link,
                 repair_after: SimDuration::from_secs(0),
             },
         }];
-        let mut app = Nop;
-        inject(&mut cs, &mut app, &schedule, SimTime::from_secs(5));
+        replay_until(&mut cs, &faults, SimTime::from_secs(5));
         cs.telemetry().flush();
         assert!(cs.net.link(link.flow_link()).up, "link must end up");
         assert!(cs.health.is_up(link));
         let text = buf.text();
-        let inject_pos = text.find("fault_inject").expect("inject recorded");
-        let repair_pos = text.find("fault_repair").expect("repair recorded");
-        assert!(inject_pos < repair_pos, "inject precedes its repair");
+        let down = text
+            .find(&link_state_line(at, link, false))
+            .expect("failure recorded");
+        let up = text
+            .find(&link_state_line(at, link, true))
+            .expect("repair recorded");
+        assert!(down < up, "failure precedes its repair");
     }
 
     #[test]
-    fn same_tick_inject_and_repair_order_deterministically() {
-        // A repair falling on the same sim-time tick as the next fault:
-        // `inject` applies the fault first (tf <= tr), so a failure landing
-        // exactly when another link's repair is due must leave the repaired
-        // link up and the newly-failed link down at the deadline.
+    fn same_tick_fault_and_repair_order_deterministically() {
+        // A repair falling on the same sim-time tick as the next fault, on
+        // another cable: whichever fires first, the repaired link must end
+        // up and the newly failed link down at the deadline.
         let f = HpnConfig::tiny().build();
         let mut cs = ClusterSim::new(f, HashMode::Polarized);
         let l0 = cs.fabric.hosts[0].nic_up[0][0].unwrap();
         let l1 = cs.fabric.hosts[1].nic_up[0][0].unwrap();
-        let schedule = vec![
+        let faults = vec![
             // Fails at 1s, repaired at exactly 2s…
             FaultEvent {
                 at: SimTime::from_secs(1),
@@ -549,55 +483,74 @@ mod tests {
                 },
             },
         ];
-        let mut app = Nop;
-        inject(&mut cs, &mut app, &schedule, SimTime::from_secs(10));
+        replay_until(&mut cs, &faults, SimTime::from_secs(10));
         assert!(cs.net.link(l0.flow_link()).up, "repaired link ends up");
         assert!(!cs.net.link(l1.flow_link()).up, "same-tick fault sticks");
         assert_eq!(cs.now(), SimTime::from_secs(10));
     }
 
     #[test]
-    fn refailing_an_already_down_link_is_idempotent() {
-        // Two overlapping failures of one cable: the second inject hits an
-        // already-down link (a flap landing inside a hard-failure window —
-        // common at production flap rates). Neither apply may panic, and
-        // link state is boolean (set_link_up, not reference-counted), so
-        // the *first* repair to fire resurrects the cable: after the flap
-        // repair at 2.5s the link is up, and the hard repair at 3601s is a
-        // no-op. This pins the last-writer-wins semantics replay depends
-        // on.
+    fn refailure_at_the_repair_instant_sticks() {
+        // One cable repaired and failed again at the same instant: the
+        // earlier fault's repair timer fires first, so the new failure
+        // wins and the cable stays down.
         let f = HpnConfig::tiny().build();
         let mut cs = ClusterSim::new(f, HashMode::Polarized);
         let link = cs.fabric.hosts[0].nic_up[0][0].unwrap();
-        let schedule = vec![
-            FaultEvent {
-                at: SimTime::from_secs(1),
-                kind: FaultKind::LinkFailure {
-                    link,
-                    repair_after: SimDuration::from_secs(3600),
-                },
+        let fault = |at, repair_after| FaultEvent {
+            at: SimTime::from_secs(at),
+            kind: FaultKind::LinkFailure {
+                link,
+                repair_after: SimDuration::from_secs(repair_after),
             },
-            FaultEvent {
-                at: SimTime::from_secs(2),
-                kind: FaultKind::LinkFlap {
-                    link,
-                    duration: SimDuration::from_millis(500),
+        };
+        // Down at 1s, repaired at 2s; down again at 2s until 3602s.
+        let faults = vec![fault(1, 1), fault(2, 3600)];
+        replay_until(&mut cs, &faults, SimTime::from_secs(10));
+        assert!(!cs.net.link(link.flow_link()).up);
+        assert!(!cs.health.is_up(link));
+    }
+
+    #[test]
+    fn refailing_an_already_down_link_is_idempotent() {
+        // Two overlapping failures of one cable: the second hits an
+        // already-down link (a flap landing inside a hard-failure window —
+        // common at production flap rates). Neither may panic, and link
+        // state is boolean (set_link_up, not reference-counted), so the
+        // *first* repair to fire resurrects the cable: after the flap
+        // repair at 2.5s the link is up, and the hard repair at 3601s is a
+        // no-op. This pins the last-writer-wins semantics replay depends
+        // on.
+        let faults = |link| {
+            vec![
+                FaultEvent {
+                    at: SimTime::from_secs(1),
+                    kind: FaultKind::LinkFailure {
+                        link,
+                        repair_after: SimDuration::from_secs(3600),
+                    },
                 },
-            },
-        ];
-        let mut app = Nop;
-        // Check the down window first: between the second inject (2s) and
-        // the flap repair (2.5s) the cable is down exactly once-observable.
-        let f_mid = HpnConfig::tiny().build();
-        let mut cs_mid = ClusterSim::new(f_mid, HashMode::Polarized);
+                FaultEvent {
+                    at: SimTime::from_secs(2),
+                    kind: FaultKind::LinkFlap {
+                        link,
+                        duration: SimDuration::from_millis(500),
+                    },
+                },
+            ]
+        };
+        // Check the down window first: between the flap (2s) and its
+        // repair (2.5s) the cable is down.
+        let mut cs_mid = ClusterSim::new(HpnConfig::tiny().build(), HashMode::Polarized);
         let link_mid = cs_mid.fabric.hosts[0].nic_up[0][0].unwrap();
-        assert_eq!(link_mid, link, "tiny fabric is deterministic");
-        inject(&mut cs_mid, &mut app, &schedule[..1], SimTime::from_secs(2));
+        replay_until(&mut cs_mid, &faults(link_mid), SimTime::from_secs(2));
         assert!(!cs_mid.health.is_up(link_mid), "down inside the window");
 
         // Full overlapping schedule: the flap repair at 2.5s brings the
         // boolean link state up even though the hard repair is pending.
-        inject(&mut cs, &mut app, &schedule, SimTime::from_secs(100));
+        let mut cs = ClusterSim::new(HpnConfig::tiny().build(), HashMode::Polarized);
+        let link = cs.fabric.hosts[0].nic_up[0][0].unwrap();
+        replay_until(&mut cs, &faults(link), SimTime::from_secs(100));
         assert!(
             cs.health.is_up(link),
             "first repair resurrects a boolean link"
@@ -605,8 +558,9 @@ mod tests {
         assert!(cs.net.link(link.flow_link()).up);
         // Running past the (now no-op) hard repair must not panic and must
         // leave the link up.
-        inject(&mut cs, &mut app, &[], SimTime::from_secs(2 * 3600));
+        cs.run(&mut Nop, SimTime::from_secs(2 * 3600));
         assert!(cs.health.is_up(link));
+        assert!(cs.net.link(link.flow_link()).up);
     }
 
     #[test]
@@ -621,17 +575,17 @@ mod tests {
         let sched = plan(&f, &rates, horizon, 21);
         assert!(sched.len() >= 2, "need a multi-event schedule");
 
-        let replay = |schedule: &[FaultEvent]| {
+        let replay = |faults: &[FaultEvent]| {
             let (ctx, buf) = jsonl_ctx();
             let fab = HpnConfig::tiny().build();
             let mut cs = ClusterSim::with_ctx(fab, HashMode::Polarized, &ctx);
-            let mut app = Nop;
-            inject(&mut cs, &mut app, schedule, SimTime::ZERO + horizon);
+            replay_until(&mut cs, faults, SimTime::ZERO + horizon);
             cs.telemetry().flush();
             buf.text()
         };
 
         let baseline = replay(&sched);
+        assert!(link_state_count(&baseline, false) > 0, "faults replayed");
         // Reverse (a worst-case "generation order"), then restore the
         // total order via the public key.
         let mut shuffled: Vec<FaultEvent> = sched.iter().rev().copied().collect();

@@ -11,10 +11,7 @@ use std::sync::Arc;
 
 use hpn_collectives::graph::OpGraph;
 use hpn_collectives::CommConfig;
-use hpn_core::{
-    placement, JobStats, MultiJobSession, ReplaySession, ServingLoad, ServingSession,
-    TrainingSession, WorkloadSession,
-};
+use hpn_core::{placement, JobStats, ServingLoad, WorkloadSession};
 use hpn_faults::{FaultEvent, FaultKind, FaultRates};
 use hpn_routing::router::Router;
 use hpn_sim::{SimDuration, SimTime, Xoshiro256};
@@ -162,30 +159,31 @@ impl BuiltWorkload {
                 if let Some(m) = moe {
                     job = job.with_moe(*m);
                 }
-                WorkloadSession::Training(TrainingSession::new(job, CommConfig::hpn_default()))
+                WorkloadSession::training(job, CommConfig::hpn_default())
             }
-            BuiltKind::Trace { graph, ranks } => WorkloadSession::Replay(ReplaySession::new(
-                graph.clone(),
-                ranks.clone(),
-                CommConfig::hpn_default(),
-            )),
+            BuiltKind::Trace { graph, ranks } => {
+                WorkloadSession::replay(graph.clone(), ranks.clone(), CommConfig::hpn_default())
+            }
             BuiltKind::Inference {
                 load,
                 serving,
                 superimpose,
             } => {
-                let mut s = ServingSession::new(serving.clone(), *load, CommConfig::hpn_default());
-                if *superimpose {
-                    let job = TrainingJob::new(
+                let training = superimpose.then(|| {
+                    TrainingJob::new(
                         self.model.clone(),
                         self.plan,
                         self.hosts.clone(),
                         self.plan.tp,
                         self.global_batch,
-                    );
-                    s = s.with_training(job, CommConfig::hpn_default());
-                }
-                WorkloadSession::Serving(s)
+                    )
+                });
+                WorkloadSession::serving(
+                    serving.clone(),
+                    *load,
+                    training,
+                    CommConfig::hpn_default(),
+                )
             }
             BuiltKind::MultiJob { entries } => {
                 let entries = entries
@@ -206,29 +204,19 @@ impl BuiltWorkload {
                         (*stat, job)
                     })
                     .collect();
-                WorkloadSession::MultiJob(MultiJobSession::new(entries, CommConfig::hpn_default()))
+                WorkloadSession::multi_job(entries, CommConfig::hpn_default())
             }
         };
         if let Some(s) = self.spray {
             session = session.with_spray(s);
         }
         if let Some(m) = self.min_timeout_secs {
-            session.set_min_timeout(SimDuration::from_secs_f64(m));
+            session.min_timeout = SimDuration::from_secs_f64(m);
         }
         if let Some(f) = self.timeout_factor {
-            session.set_timeout_factor(f);
+            session.timeout_factor = f;
         }
         session
-    }
-
-    /// Like [`session`](Self::session), but unwrapped to the plain
-    /// [`TrainingSession`] the figure experiments drive. Panics on
-    /// non-training kinds — legacy callers predate `kind`.
-    pub fn training_session(&self) -> TrainingSession {
-        match self.session() {
-            WorkloadSession::Training(s) => s,
-            _ => panic!("workload kind `{}` is not training", self.kind_name()),
-        }
     }
 }
 
@@ -239,8 +227,8 @@ pub struct Session {
     /// The training workload, when the scenario declares one.
     pub workload: Option<BuiltWorkload>,
     /// The fault schedule (explicit injections merged with any sampled
-    /// Poisson schedule), sorted by time; replay with
-    /// [`hpn_faults::inject`].
+    /// Poisson schedule), sorted by time; arm it with
+    /// [`hpn_faults::schedule`] before driving the cluster.
     pub faults: Vec<FaultEvent>,
 }
 
@@ -704,9 +692,9 @@ mod tests {
         let mut session = bw.session();
         session.run_iteration(&mut built.cluster);
         session.run_iteration(&mut built.cluster);
-        let mj = session.as_multi_job().expect("multi-job session");
-        assert_eq!(mj.job_stats().len(), 3, "every sampled job gets stats");
-        for st in mj.job_stats() {
+        let stats = session.job_stats().expect("multi-job session");
+        assert_eq!(stats.len(), 3, "every sampled job gets stats");
+        for st in stats {
             assert!(st.gpus >= 8);
             if st.placed() {
                 assert!(st.segments >= 1);
@@ -715,7 +703,7 @@ mod tests {
             }
         }
         assert!(
-            mj.job_stats().iter().any(|s| s.placed()),
+            stats.iter().any(|s| s.placed()),
             "the tiny fabric places at least one sampled job"
         );
     }

@@ -7,7 +7,7 @@
 //! configuration built both ways produces bit-identical iteration records.
 
 use hpn_collectives::CommConfig;
-use hpn_core::{placement, TrainingSession};
+use hpn_core::{placement, WorkloadSession};
 use hpn_routing::HashMode;
 use hpn_scenario::{ModelId, Scenario, TopologySpec, WorkloadSpec};
 use hpn_topology::HpnConfig;
@@ -24,19 +24,16 @@ fn scenario_build_matches_legacy_wiring_bit_for_bit() {
     model.gpu_secs_per_sample = 0.05;
     let job = TrainingJob::new(model, plan, hosts, plan.tp, 64);
     let mut legacy_cs = ClusterSim::new(fabric, HashMode::Polarized);
-    let mut legacy = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut legacy = WorkloadSession::training(job, CommConfig::hpn_default());
 
     // The same point declared as a Scenario.
     let sc = Scenario::new("equiv", TopologySpec::Hpn(HpnConfig::tiny()))
         .with_workload(WorkloadSpec::new(ModelId::Llama7b, 2, 2, 64).gpu_secs(0.05));
     let mut built = sc.build().expect("valid scenario");
-    let mut session = built
-        .workload
-        .take()
-        .expect("has workload")
-        .training_session();
+    let mut session = built.workload.take().expect("has workload").session();
 
-    assert_eq!(legacy.job.hosts, session.job.hosts, "placement must agree");
+    let hosts = |s: &WorkloadSession| s.job().expect("training session").hosts.clone();
+    assert_eq!(hosts(&legacy), hosts(&session), "placement must agree");
     for i in 0..3 {
         let a = legacy.run_iteration(&mut legacy_cs);
         let b = session.run_iteration(&mut built.cluster);

@@ -119,24 +119,6 @@ pub enum Event {
         /// Wall-clock duration of the step in nanoseconds.
         dur_ns: u64,
     },
-    /// A fault was injected.
-    FaultInject {
-        /// Simulated time in nanoseconds.
-        t_ns: u64,
-        /// Fault class: `"link_fail"`, `"link_flap"` or `"tor_crash"`.
-        kind: &'static str,
-        /// Failed element: routing link index or ToR node id.
-        target: u32,
-    },
-    /// A previously injected fault was repaired.
-    FaultRepair {
-        /// Simulated time in nanoseconds.
-        t_ns: u64,
-        /// Repair class: `"cable"` or `"tor"`.
-        kind: &'static str,
-        /// Repaired element: routing link index or ToR node id.
-        target: u32,
-    },
 }
 
 impl Event {
@@ -153,9 +135,7 @@ impl Event {
             | Event::PathSearch { t_ns, .. }
             | Event::PathSwitch { t_ns, .. }
             | Event::LinkSample { t_ns, .. }
-            | Event::CollectiveStep { t_ns, .. }
-            | Event::FaultInject { t_ns, .. }
-            | Event::FaultRepair { t_ns, .. } => t_ns,
+            | Event::CollectiveStep { t_ns, .. } => t_ns,
         }
     }
 
@@ -178,8 +158,6 @@ impl Event {
             Event::PathSwitch { .. } => "path_switch",
             Event::LinkSample { .. } => "link_sample",
             Event::CollectiveStep { .. } => "collective_step",
-            Event::FaultInject { .. } => "fault_inject",
-            Event::FaultRepair { .. } => "fault_repair",
         }
     }
 
@@ -266,11 +244,6 @@ impl Event {
             Event::CollectiveStep { t_ns, job, dur_ns } => {
                 push_t(&mut s, *t_ns);
                 s.push_str(&format!(",\"job\":{job},\"dur_ns\":{dur_ns}"));
-            }
-            Event::FaultInject { t_ns, kind, target }
-            | Event::FaultRepair { t_ns, kind, target } => {
-                push_t(&mut s, *t_ns);
-                s.push_str(&format!(",\"kind\":\"{kind}\",\"target\":{target}"));
             }
         }
         s.push('}');

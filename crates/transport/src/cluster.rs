@@ -54,7 +54,9 @@ pub trait ClusterApp {
     fn on_timer(&mut self, _cs: &mut ClusterSim, _tag: u64) {}
 }
 
-#[derive(Clone, Copy, Debug)]
+/// A timer's payload. It rides in the heap entry; the entry's unique
+/// sequence number decides ties, so this order is never consulted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
     App(u64),
     Converge { link: LinkIdx, up: bool },
@@ -137,8 +139,8 @@ pub struct ClusterSim {
     groups: Vec<ConnGroup>,
     msgs: BTreeMap<u64, Msg>,
     next_msg: u64,
-    timers: BinaryHeap<Reverse<(SimTime, u64, u8)>>,
-    timer_payload: BTreeMap<u64, Timer>,
+    /// Pending timers, fired in `(at, seq)` order.
+    timers: BinaryHeap<Reverse<(SimTime, u64, Timer)>>,
     timer_seq: u64,
     stats: TransportStats,
     telemetry: SharedRecorder,
@@ -202,7 +204,6 @@ impl ClusterSim {
             msgs: BTreeMap::new(),
             next_msg: 0,
             timers: BinaryHeap::new(),
-            timer_payload: BTreeMap::new(),
             timer_seq: 0,
             stats: TransportStats::default(),
             telemetry,
@@ -514,12 +515,7 @@ impl ClusterSim {
     fn push_timer(&mut self, at: SimTime, t: Timer) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timer_payload.insert(seq, t);
-        self.timers.push(Reverse((at, seq, 0)));
-    }
-
-    fn peek_timer(&self) -> Option<SimTime> {
-        self.timers.peek().map(|Reverse((at, _, _))| *at)
+        self.timers.push(Reverse((at, seq, t)));
     }
 
     // ------------------------------------------------------------------
@@ -549,7 +545,8 @@ impl ClusterSim {
 
     /// Schedule a cable failure/repair at an absolute future time — lets
     /// experiments pre-plan fault scenarios (Fig 18's "link failure at
-    /// t=10s") before starting the run loop.
+    /// t=10s") before starting the run loop. `hpn_faults::schedule` replays
+    /// a whole fault plan this way.
     pub fn schedule_cable_event(&mut self, at: SimTime, link: LinkIdx, up: bool) {
         assert!(at >= self.now, "cable event in the past");
         self.push_timer(at, Timer::CableEvent { link, up });
@@ -649,9 +646,9 @@ impl ClusterSim {
     // ------------------------------------------------------------------
 
     /// The instant of the next pending event (flow completion or timer).
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    fn next_event_time(&mut self) -> Option<SimTime> {
         let t_flow = self.net.next_completion();
-        let t_timer = self.peek_timer();
+        let t_timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
         match (t_flow, t_timer) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -660,21 +657,13 @@ impl ClusterSim {
 
     /// Advance to `target`, delivering everything due there.
     fn process_at<A: ClusterApp>(&mut self, app: &mut A, target: SimTime) {
-        let dones = self.net.advance(target);
-        self.now = target;
-        for d in dones {
-            self.flow_done(app, d.tag);
-        }
+        self.advance_to(app, target);
         // Fire all timers due at or before `target`.
-        while let Some(&Reverse((at, seq, _))) = self.timers.peek() {
+        while let Some(&Reverse((at, _, timer))) = self.timers.peek() {
             if at > self.now {
                 break;
             }
             self.timers.pop();
-            let timer = self
-                .timer_payload
-                .remove(&seq)
-                .expect("timer payload present");
             match timer {
                 Timer::App(tag) => app.on_timer(self, tag),
                 Timer::Converge { link, up } => self.on_converge(link, up),
@@ -690,34 +679,44 @@ impl ClusterSim {
         }
     }
 
-    /// Process the next pending event, if any. Lets callers interleave
-    /// their own stop conditions (e.g. "run until this job finishes").
-    pub fn step<A: ClusterApp>(&mut self, app: &mut A) -> bool {
-        match self.next_event_time() {
-            Some(t) => {
-                self.process_at(app, t);
-                true
-            }
-            None => false,
+    /// Integrate the fluid net to `target` and deliver the flows that
+    /// finished on the way.
+    fn advance_to<A: ClusterApp>(&mut self, app: &mut A, target: SimTime) {
+        let dones = self.net.advance(target);
+        self.now = target;
+        for d in dones {
+            self.flow_done(app, d.tag);
         }
+    }
+
+    /// The run loop: deliver completions and timers to `app`, one instant
+    /// at a time, until `done(app)` holds or nothing is left before
+    /// `deadline`. `done` is checked before each instant, so on `true` the
+    /// clock stays at the instant that satisfied it. On `false` the clock
+    /// has advanced exactly to `deadline`.
+    pub fn run_until<A: ClusterApp>(
+        &mut self,
+        app: &mut A,
+        deadline: SimTime,
+        mut done: impl FnMut(&A) -> bool,
+    ) -> bool {
+        assert!(deadline >= self.now, "deadline in the past");
+        while !done(app) {
+            match self.next_event_time() {
+                Some(t) if t <= deadline => self.process_at(app, t),
+                _ => {
+                    self.advance_to(app, deadline);
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Run until `deadline`, delivering completions and timers to `app`.
     /// Returns at the deadline with time advanced exactly there.
     pub fn run<A: ClusterApp>(&mut self, app: &mut A, deadline: SimTime) {
-        assert!(deadline >= self.now, "deadline in the past");
-        while let Some(t) = self.next_event_time() {
-            if t > deadline {
-                break;
-            }
-            self.process_at(app, t);
-        }
-        // Nothing left before the deadline.
-        let dones = self.net.advance(deadline);
-        self.now = deadline;
-        for d in dones {
-            self.flow_done(app, d.tag);
-        }
+        self.run_until(app, deadline, |_| false);
     }
 
     /// A message's flow finished on the wire; charge the fixed latency
@@ -970,5 +969,19 @@ mod tests {
         assert!(app.done.is_empty());
         assert_eq!(cs.now(), SimTime::from_secs(1));
         assert_eq!(cs.inflight(), 1);
+    }
+
+    #[test]
+    fn run_until_stops_at_the_instant_done_holds() {
+        let mut cs = sim();
+        let mut app = Recorder::default();
+        cs.set_timer(SimTime::from_millis(10), 1);
+        cs.set_timer(SimTime::from_millis(20), 2);
+        let deadline = SimTime::from_secs(1);
+        assert!(cs.run_until(&mut app, deadline, |a| !a.timers.is_empty()));
+        assert_eq!(cs.now(), SimTime::from_millis(10), "clock stays put");
+        assert!(!cs.run_until(&mut app, deadline, |a| a.timers.len() > 2));
+        assert_eq!(app.timers.len(), 2);
+        assert_eq!(cs.now(), deadline, "clock lands on deadline");
     }
 }

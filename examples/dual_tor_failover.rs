@@ -7,7 +7,7 @@
 //! ```
 
 use hpn::collectives::CommConfig;
-use hpn::core::{placement, IterationOutcome, TrainingSession};
+use hpn::core::{placement, IterationOutcome, WorkloadSession};
 use hpn::routing::HashMode;
 use hpn::sim::SimDuration;
 use hpn::topology::HpnConfig;
@@ -29,7 +29,7 @@ fn scenario(dual_tor: bool) {
     let mut model = ModelSpec::llama_7b();
     model.gpu_secs_per_sample = 0.1;
     let job = TrainingJob::new(model, ParallelismPlan::new(rails, 1, 8), hosts, rails, 256);
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
     session.min_timeout = SimDuration::from_secs(120);
 
     println!(

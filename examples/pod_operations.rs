@@ -6,8 +6,8 @@
 //! ```
 
 use hpn::collectives::CommConfig;
-use hpn::core::{placement, IterationOutcome, TrainingSession};
-use hpn::faults::{access_links, plan, FaultKind, FaultRates};
+use hpn::core::{placement, IterationOutcome, WorkloadSession};
+use hpn::faults::{access_links, plan, schedule, FaultRates};
 use hpn::routing::HashMode;
 use hpn::sim::{SimDuration, SimTime};
 use hpn::topology::HpnConfig;
@@ -31,32 +31,23 @@ fn main() {
     rates.link_repair = SimDuration::from_secs(120);
     rates.tor_crash_per_month = 0.0;
     let horizon = SimDuration::from_secs(3600);
-    let schedule = plan(&cs.fabric, &rates, horizon, 42);
+    let faults = plan(&cs.fabric, &rates, horizon, 42);
     println!(
         "operating a {}-GPU pod for 1h with {} scheduled faults over {} access links",
         cs.fabric.active_gpu_count(),
-        schedule.len(),
+        faults.len(),
         access_links(&cs.fabric).len()
     );
 
     // Pre-arm every fault as a timer so training runs uninterrupted.
-    for ev in &schedule {
-        if let FaultKind::LinkFailure { link, repair_after } = ev.kind {
-            cs.schedule_cable_event(ev.at, link, false);
-            cs.schedule_cable_event(ev.at + repair_after, link, true);
-        }
-        if let FaultKind::LinkFlap { link, duration } = ev.kind {
-            cs.schedule_cable_event(ev.at, link, false);
-            cs.schedule_cable_event(ev.at + duration, link, true);
-        }
-    }
+    schedule(&mut cs, &faults);
 
     let rails = cs.fabric.host_params.rails;
     let hosts = placement::place_segment_first(&cs.fabric, 16).unwrap();
     let mut model = ModelSpec::llama_7b();
     model.gpu_secs_per_sample = 1.0;
     let job = TrainingJob::new(model, ParallelismPlan::new(rails, 2, 8), hosts, rails, 2048);
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
 
     let mut completed = 0usize;
     let mut degraded = 0usize;

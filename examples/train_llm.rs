@@ -6,7 +6,7 @@
 //! ```
 
 use hpn::collectives::CommConfig;
-use hpn::core::{placement, TrainingSession};
+use hpn::core::{placement, WorkloadSession};
 use hpn::routing::HashMode;
 use hpn::topology::{DcnPlusConfig, Fabric, HpnConfig};
 use hpn::transport::ClusterSim;
@@ -20,7 +20,7 @@ fn train(name: &str, fabric: Fabric, hosts: usize) -> f64 {
     let host_ids = placement::place_segment_first(&cs.fabric, hosts).expect("enough hosts");
     let spanned = placement::segments_spanned(&cs.fabric, &host_ids);
     let job = TrainingJob::new(ModelSpec::gpt3_175b(), plan, host_ids, rails, 512);
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
     session.run_iterations(&mut cs, 4);
     let sps = session.mean_throughput(1);
     println!(

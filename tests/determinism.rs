@@ -28,7 +28,7 @@ mod allocator {
     //! every flow exactly as the dense oracle does.
 
     use hpn::collectives::CommConfig;
-    use hpn::core::{placement, TrainingSession};
+    use hpn::core::{placement, WorkloadSession};
     use hpn::routing::HashMode;
     use hpn::sim::AllocatorKind;
     use hpn::telemetry::{JsonlRecorder, SharedBuf, SharedRecorder, SimCtx};
@@ -55,7 +55,7 @@ mod allocator {
             rails,
             256,
         );
-        let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+        let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
         session.run_iterations(&mut cs, 3);
         let nanos = session.records().iter().map(|r| r.end.as_nanos()).collect();
         (nanos, buf.text())

@@ -10,7 +10,7 @@
 //! no `--test-threads=1` required.
 
 use hpn::collectives::{bw, graph, CommConfig, Communicator, Runner};
-use hpn::core::{placement, IterationOutcome, TrainingSession};
+use hpn::core::{placement, IterationOutcome, WorkloadSession};
 use hpn::routing::{repac, HashMode};
 use hpn::sim::{SimDuration, SimTime};
 use hpn::telemetry::SimCtx;
@@ -82,7 +82,7 @@ fn training_iterations_are_deterministic_across_runs() {
             rails,
             256,
         );
-        let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+        let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
         session.run_iterations(&mut cs, 3);
         session
             .records()
@@ -149,7 +149,7 @@ fn repac_paths_survive_failures_and_training_continues() {
         rails,
         256,
     );
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
     session.run_iterations(&mut cs, 2);
 
     // Fail three different access cables at once.

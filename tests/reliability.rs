@@ -8,8 +8,8 @@
 //! default parallelism without cross-test interference.
 
 use hpn::collectives::CommConfig;
-use hpn::core::{placement, IterationOutcome, TrainingSession};
-use hpn::faults::{access_links, plan, FaultKind, FaultRates};
+use hpn::core::{placement, IterationOutcome, WorkloadSession};
+use hpn::faults::{access_links, plan, schedule, FaultKind, FaultRates};
 use hpn::routing::HashMode;
 use hpn::sim::{SimDuration, SimTime};
 use hpn::topology::{wiring, HpnConfig};
@@ -52,32 +52,20 @@ fn training_survives_an_accelerated_month_of_faults() {
     rates.link_repair = SimDuration::from_secs(20);
     rates.tor_crash_per_month = 0.0;
     let horizon = SimDuration::from_secs(300);
-    let schedule = plan(&cs.fabric, &rates, horizon, 7);
+    let faults = plan(&cs.fabric, &rates, horizon, 7);
     assert!(
-        schedule.len() > 20,
+        faults.len() > 20,
         "the accelerated schedule should be busy, got {}",
-        schedule.len()
+        faults.len()
     );
-    for ev in &schedule {
-        match ev.kind {
-            FaultKind::LinkFailure { link, repair_after } => {
-                cs.schedule_cable_event(ev.at, link, false);
-                cs.schedule_cable_event(ev.at + repair_after, link, true);
-            }
-            FaultKind::LinkFlap { link, duration } => {
-                cs.schedule_cable_event(ev.at, link, false);
-                cs.schedule_cable_event(ev.at + duration, link, true);
-            }
-            FaultKind::TorCrash { .. } => {}
-        }
-    }
+    schedule(&mut cs, &faults);
 
     let rails = cs.fabric.host_params.rails;
     let hosts = placement::place_segment_first(&cs.fabric, 16).unwrap();
     let mut model = ModelSpec::llama_7b();
     model.gpu_secs_per_sample = 0.5;
     let job = TrainingJob::new(model, ParallelismPlan::new(rails, 2, 8), hosts, rails, 1024);
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
 
     let mut completed = 0;
     while cs.now() < SimTime::ZERO + horizon {
@@ -157,7 +145,7 @@ fn backup_swap_after_tor_level_loss_keeps_the_job_alive() {
         rails,
         256,
     );
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
     let rec = session.run_iteration(&mut cs);
     assert!(matches!(rec.outcome, IterationOutcome::Completed { .. }));
 }
@@ -173,7 +161,7 @@ fn asymmetric_link_failure_degrades_but_does_not_crash() {
     let mut model = ModelSpec::llama_7b();
     model.gpu_secs_per_sample = 0.2;
     let job = TrainingJob::new(model, ParallelismPlan::new(rails, 1, 8), hosts, rails, 256);
-    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    let mut session = WorkloadSession::training(job, CommConfig::hpn_default());
     session.run_iterations(&mut cs, 2);
     let baseline = session.records()[1].samples_per_sec;
 
