@@ -53,6 +53,8 @@ fn train_with_storage(ctx: &SimCtx, scale: Scale, storage_in_backend: bool) -> f
                 ));
             }
         }
+        // `u64::MAX` names no runner job, so the training runner that
+        // receives these completions ignores them.
         for g in groups {
             cs.send_group(g, per_gpu_bits, u64::MAX);
         }

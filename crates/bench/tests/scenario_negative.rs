@@ -97,6 +97,29 @@ fn out_of_range_workload_pp_is_rejected_with_field_and_line() {
 }
 
 #[test]
+fn overflowing_workload_spray_is_a_field_diagnostic() {
+    // spray × connections per pair must fit in u32, or every chunk of a
+    // Send would be infinitely large.
+    let smoke =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios/tiny_smoke.toml");
+    let body = std::fs::read_to_string(smoke).expect("read tiny_smoke.toml");
+    let path = write_scenario(
+        "spray_overflow.toml",
+        &format!("{body}spray = 2147483648\n"),
+    );
+    for cmd in ["check", "run"] {
+        let out = bin()
+            .args(["scenario", cmd])
+            .arg(&path)
+            .args(["--quick", "--out"])
+            .arg(std::env::temp_dir().join("hpn-scenario-neg-spray-out"))
+            .output()
+            .expect("run hpn-experiments");
+        assert_diagnostic_exit(&out, "[workload.spray] must be at most 1073741823");
+    }
+}
+
+#[test]
 fn unreadable_scenario_file_is_a_diagnostic_not_a_panic() {
     let out = bin()
         .args(["scenario", "check", "/nonexistent/hpn-no-such-file.toml"])

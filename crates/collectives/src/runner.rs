@@ -5,16 +5,21 @@
 //! messages/copies/timers; completions unlock dependents. Per-job start
 //! and finish times give the collective latencies the experiments report.
 
-use std::collections::BTreeMap;
-
 use hpn_sim::{SimDuration, SimTime};
-use hpn_transport::{ClusterApp, ClusterSim, MessageDone};
+use hpn_transport::{ClusterApp, ClusterSim, GroupId, MessageDone};
 
 use crate::comm::Communicator;
 use crate::graph::{OpGraph, OpKind};
 
-/// Reserved timer tag for the periodic sampler.
+/// Reserved timer tag for the periodic sampler. Like every foreign
+/// `u64::MAX` word it decodes to job `u32::MAX`, which never exists.
 const SAMPLER_TAG: u64 = u64::MAX;
+
+/// The `user` word of every message and compute timer the runner issues:
+/// it names the op the completion counts towards.
+fn op_key(job: u32, op: u32) -> u64 {
+    ((job as u64) << 32) | op as u64
+}
 
 /// One job: a graph bound to a communicator.
 struct Job {
@@ -29,40 +34,36 @@ struct Job {
 /// A live job's graph and per-op progress.
 struct OpTables {
     graph: OpGraph,
-    /// Unsatisfied dependency count per op.
+    /// What each op still waits for: its unsatisfied dependencies until it
+    /// is issued, then its unfinished messages (1 for a local send, copy or
+    /// compute; `spray × window` for a sprayed Send). An op is done when
+    /// this reaches 0 after issue; a second completion would underflow.
     remaining: Vec<u32>,
     /// Reverse edges: op -> ops that depend on it.
     dependents: Vec<Vec<u32>>,
-    /// Ops completed.
-    done: Vec<bool>,
 }
 
 /// Multi-job executor. Implements [`ClusterApp`]; drive it with
 /// [`Runner::run`].
+///
+/// The runner owns the `user` words delivered to it: each message and
+/// compute timer it issues carries its op's key, `(job << 32) | op`, and
+/// that key is the only link from a completion back to its op. Foreign
+/// senders on the same [`ClusterSim`] (storage traffic beside a training
+/// job, say) pass `u64::MAX`, which names no job and is ignored.
+///
+/// Network sends are sprayed over the pair's connection group in a
+/// bounded window: NCCL pipelines chunks across QPs, which is how a bonded
+/// NIC reaches 2×200G and where Algorithm 2's least-WQE selection earns
+/// its keep, as each chunk posted after the window fills goes to whichever
+/// connection drained.
 #[allow(clippy::type_complexity)] // the sampler slot is one closure field
 pub struct Runner {
     comms: Vec<Communicator>,
     jobs: Vec<Job>,
-    /// Message/timer tag -> (job, op). Local copies and computes get their
-    /// identity from here too.
     sampler: Option<(SimDuration, Box<dyn FnMut(&mut ClusterSim) + Send>)>,
     sampler_armed: bool,
-    tags: BTreeMap<u64, (u32, u32)>,
     spray: u32,
-    /// Chunk pipelining state per (job, op): network sends are sprayed
-    /// over the pair's connection group in a bounded window (NCCL
-    /// pipelines chunks across QPs — how a bonded NIC reaches 2×200G, and
-    /// where Algorithm 2's least-WQE selection earns its keep: each chunk
-    /// posted after the window fills goes to whichever connection drained).
-    chunks: BTreeMap<(u32, u32), ChunkState>,
-}
-
-/// Pipelined-spray bookkeeping for one Send op.
-struct ChunkState {
-    group: hpn_transport::GroupId,
-    per_chunk_bits: f64,
-    to_post: u32,
-    outstanding: u32,
 }
 
 /// Default chunks per connection of the group (total = spray × conns;
@@ -85,9 +86,7 @@ impl Runner {
             jobs: Vec::new(),
             sampler: None,
             sampler_armed: false,
-            tags: BTreeMap::new(),
             spray: DEFAULT_SPRAY_FACTOR,
-            chunks: BTreeMap::new(),
         }
     }
 
@@ -139,7 +138,6 @@ impl Runner {
                 graph,
                 remaining,
                 dependents,
-                done: vec![false; n],
             }),
             outstanding: n,
             started: None,
@@ -237,40 +235,54 @@ impl Runner {
     fn issue(&mut self, cs: &mut ClusterSim, job: u32, op: u32) {
         let ops = self.jobs[job as usize].ops.as_ref();
         let kind = ops.expect("unfinished job keeps its ops").graph.ops()[op as usize].kind;
-        match kind {
-            OpKind::Send { src, dst, bits } => {
-                let comm = &mut self.comms[self.jobs[job as usize].comm];
-                if comm.same_host(src, dst) {
-                    let msg = cs.send_local(bits, 0);
-                    self.tags.insert(tag_msg(msg), (job, op));
-                } else {
-                    let g = comm.group_for(cs, src, dst);
-                    let window = cs.group(g).conns.len().max(1) as u32;
-                    let total = self.spray * window;
-                    let per = bits / total as f64;
-                    self.chunks.insert(
-                        (job, op),
-                        ChunkState {
-                            group: g,
-                            per_chunk_bits: per,
-                            to_post: total - window,
-                            outstanding: window,
-                        },
-                    );
-                    for _ in 0..window {
-                        let msg = cs.send_group(g, per, 0);
-                        self.tags.insert(tag_msg(msg), (job, op));
-                    }
+        let key = op_key(job, op);
+        let comm = &mut self.comms[self.jobs[job as usize].comm];
+        let waits = match kind {
+            OpKind::Send { src, dst, bits } if !comm.same_host(src, dst) => {
+                let (g, window, per) = spray_plan(comm, cs, self.spray, src, dst, bits);
+                for _ in 0..window {
+                    cs.send_group(g, per, key);
                 }
+                self.spray * window
             }
-            OpKind::Copy { bits, .. } => {
-                let msg = cs.send_local(bits, 0);
-                self.tags.insert(tag_msg(msg), (job, op));
+            OpKind::Send { bits, .. } | OpKind::Copy { bits, .. } => {
+                cs.send_local(bits, key);
+                1
             }
             OpKind::Compute { dur, .. } => {
-                let tag = tag_compute(job, op);
-                self.tags.insert(tag, (job, op));
-                cs.set_timer(cs.now() + dur, tag);
+                cs.set_timer(cs.now() + dur, key);
+                1
+            }
+        };
+        let t = self.jobs[job as usize].ops.as_mut();
+        t.expect("unfinished job keeps its ops").remaining[op as usize] = waits;
+    }
+
+    /// One message or compute timer of `key`'s op finished: count it off,
+    /// post a sprayed Send's next chunk while the window still has chunks
+    /// behind it, and finish the op at zero. Keys naming no live job are
+    /// foreign or stale and ignored.
+    fn complete(&mut self, cs: &mut ClusterSim, key: u64) {
+        let (job, op) = ((key >> 32) as u32, key as u32);
+        let Some(j) = self.jobs.get_mut(job as usize) else {
+            return;
+        };
+        let Some(t) = j.ops.as_mut() else {
+            return;
+        };
+        let left = &mut t.remaining[op as usize];
+        *left -= 1;
+        let left = *left;
+        if left == 0 {
+            return self.op_done(cs, job, op);
+        }
+        if let OpKind::Send { src, dst, bits } = t.graph.ops()[op as usize].kind {
+            // The group's policy consults the WQE counters *now*, so
+            // congested connections receive fewer chunks (Algorithm 2).
+            let comm = &mut self.comms[j.comm];
+            let (g, window, per) = spray_plan(comm, cs, self.spray, src, dst, bits);
+            if left >= window {
+                cs.send_group(g, per, key);
             }
         }
     }
@@ -278,8 +290,6 @@ impl Runner {
     fn op_done(&mut self, cs: &mut ClusterSim, job: u32, op: u32) {
         let j = &mut self.jobs[job as usize];
         let t = j.ops.as_mut().expect("unfinished job keeps its ops");
-        debug_assert!(!t.done[op as usize], "op completed twice");
-        t.done[op as usize] = true;
         let mut unlocked: Vec<u32> = Vec::new();
         for &d in &t.dependents[op as usize] {
             let r = &mut t.remaining[d as usize];
@@ -311,38 +321,24 @@ impl Runner {
     }
 }
 
-/// Tag space: message ids get the top bit clear, compute timers the top
-/// bit set (message ids are a runtime counter and never reach 2^63).
-fn tag_msg(msg_id: u64) -> u64 {
-    msg_id
-}
-fn tag_compute(job: u32, op: u32) -> u64 {
-    (1 << 63) | ((job as u64) << 32) | op as u64
+/// The group a network Send is sprayed over, its window (one chunk in
+/// flight per connection) and the chunk size (`spray × window` chunks).
+fn spray_plan(
+    comm: &mut Communicator,
+    cs: &mut ClusterSim,
+    spray: u32,
+    src: u32,
+    dst: u32,
+    bits: f64,
+) -> (GroupId, u32, f64) {
+    let g = comm.group_for(cs, src, dst);
+    let window = cs.group(g).conns.len().max(1) as u32;
+    (g, window, bits / (spray * window) as f64)
 }
 
 impl ClusterApp for Runner {
     fn on_message_complete(&mut self, cs: &mut ClusterSim, done: MessageDone) {
-        if let Some((job, op)) = self.tags.remove(&tag_msg(done.msg_id)) {
-            if let Some(st) = self.chunks.get_mut(&(job, op)) {
-                st.outstanding -= 1;
-                if st.to_post > 0 {
-                    // Post the next pipelined chunk; the group's policy
-                    // consults the WQE counters *now*, so congested
-                    // connections receive fewer chunks (Algorithm 2).
-                    st.to_post -= 1;
-                    st.outstanding += 1;
-                    let (g, per) = (st.group, st.per_chunk_bits);
-                    let msg = cs.send_group(g, per, 0);
-                    self.tags.insert(tag_msg(msg), (job, op));
-                    return;
-                }
-                if st.outstanding > 0 {
-                    return;
-                }
-                self.chunks.remove(&(job, op));
-            }
-            self.op_done(cs, job, op);
-        }
+        self.complete(cs, done.user);
     }
 
     fn on_timer(&mut self, cs: &mut ClusterSim, tag: u64) {
@@ -354,9 +350,7 @@ impl ClusterApp for Runner {
             }
             return;
         }
-        if let Some((job, op)) = self.tags.remove(&tag) {
-            self.op_done(cs, job, op);
-        }
+        self.complete(cs, tag);
     }
 }
 
@@ -449,6 +443,73 @@ mod tests {
             assert!(runner.job_duration(job).unwrap() > SimDuration::ZERO);
         }
         assert_eq!(runner.job_duration(empty), Some(SimDuration::ZERO));
+    }
+
+    #[test]
+    fn foreign_messages_and_stale_keys_pass_the_runner_by() {
+        let run = |foreign: bool| {
+            let mut cs = sim();
+            let mut runner = Runner::new();
+            let c = runner.add_comm(rail0_comm(4, CommConfig::single_path()));
+            let job = runner.add_job(graph::ring_allreduce(4, GB, 2), c);
+            runner.launch_job(&mut cs, job);
+            if foreign {
+                // Storage-style traffic on a group the runner never saw.
+                let g = cs.establish_group((0, 1), (1, 1), 2, PathPolicy::LeastWqe, 1000);
+                for _ in 0..3 {
+                    cs.send_group(g, GB, u64::MAX);
+                }
+            }
+            assert!(runner.run_job(&mut cs, job, SimTime::from_secs(60)));
+            let deadline = cs.now() + SimDuration::from_secs(1);
+            runner.run(&mut cs, deadline);
+            (cs, runner, job)
+        };
+        let (solo, _, _) = run(false);
+        let (mut cs, mut runner, job) = run(true);
+        assert_eq!(cs.stats().completed, solo.stats().completed + 3);
+        // Keys naming a finished job or no job at all are ignored.
+        let dur = runner.job_duration(job);
+        cs.send_local(GB, op_key(job as u32, 0));
+        cs.send_local(GB, op_key(7, 0));
+        cs.set_timer(cs.now(), op_key(job as u32, 1));
+        let deadline = cs.now() + SimDuration::from_secs(1);
+        runner.run(&mut cs, deadline);
+        assert_eq!(cs.stats().completed, solo.stats().completed + 5);
+        assert_eq!(runner.job_duration(job), dur);
+    }
+
+    #[test]
+    fn a_sprayed_send_keeps_one_chunk_per_connection_in_flight() {
+        use std::sync::{Arc, Mutex};
+        let peak = Arc::new(Mutex::new(0usize));
+        let p2 = peak.clone();
+        let mut cs = sim();
+        let sample = move |cs: &mut ClusterSim| {
+            let mut p = p2.lock().unwrap();
+            *p = (*p).max(cs.inflight());
+        };
+        let mut runner = Runner::new()
+            .with_spray(3)
+            .with_sampler(SimDuration::from_micros(50), sample);
+        let comm = Communicator::new(vec![(0, 0), (1, 0)], CommConfig::hpn_default(), 49152);
+        let c = runner.add_comm(comm);
+        let mut g = OpGraph::new();
+        g.add(
+            OpKind::Send {
+                src: 0,
+                dst: 1,
+                bits: GB,
+            },
+            vec![],
+        );
+        let job = runner.add_job(g, c);
+        assert!(runner.run_job(&mut cs, job, SimTime::from_secs(10)));
+        let w = runner.comm(c).established_connections(&cs);
+        assert_eq!(w, 2, "same ToR pair: one connection per plane");
+        assert_eq!(cs.stats().completed, 3 * w as u64, "spray × window chunks");
+        assert_eq!(cs.inflight(), 0, "no chunk outlives its op");
+        assert_eq!(*peak.lock().unwrap(), w, "the window never overfills");
     }
 
     #[test]

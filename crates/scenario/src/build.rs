@@ -439,6 +439,14 @@ fn build_workload(fabric: &Fabric, w: &WorkloadSpec) -> Result<BuiltWorkload, Sc
         if s == 0 {
             return Err(ScenarioError::field("workload.spray", "must be at least 1"));
         }
+        // A Send is cut into spray × group-size chunks, counted in u32.
+        let conns = CommConfig::hpn_default().conns_per_pair as u32;
+        if s.checked_mul(conns).is_none() {
+            return Err(ScenarioError::field(
+                "workload.spray",
+                format!("must be at most {}, got {s}", u32::MAX / conns),
+            ));
+        }
     }
     if w.iterations == 0 {
         return Err(ScenarioError::field(

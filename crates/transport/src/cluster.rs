@@ -36,17 +36,14 @@ use crate::conn::{ConnGroup, Connection, ConnectionId, GroupId, PathPolicy};
 /// Completion notice delivered to the application.
 #[derive(Clone, Copy, Debug)]
 pub struct MessageDone {
-    /// The runtime's message id.
-    pub msg_id: u64,
-    /// Connection the message used (`None` for same-GPU copies).
-    pub conn: Option<ConnectionId>,
-    /// The opaque value passed to `send*`.
+    /// The value passed to `send*`: the app's handle on the message.
     pub user: u64,
     /// Message size in bits.
     pub size_bits: f64,
 }
 
-/// Application hooks.
+/// Application hooks. The runtime does not interpret a message's `user`
+/// word or a timer's tag: they are the app's handles, returned verbatim.
 pub trait ClusterApp {
     /// A message finished delivering.
     fn on_message_complete(&mut self, cs: &mut ClusterSim, done: MessageDone);
@@ -343,18 +340,8 @@ impl ClusterSim {
 
     /// Send over a group; the group's policy picks the connection.
     pub fn send_group(&mut self, group: GroupId, size_bits: f64, user: u64) -> u64 {
-        let conns_snapshot: Vec<(ConnectionId, f64)> = self.groups[group.0 as usize]
-            .conns
-            .iter()
-            .map(|&c| (c, self.conns[c.0 as usize].wqe_bytes))
-            .collect();
-        let pick = self.groups[group.0 as usize].pick(|c| {
-            conns_snapshot
-                .iter()
-                .find(|&&(id, _)| id == c)
-                .map(|&(_, w)| w)
-                .expect("member of own group")
-        });
+        let conns = &self.conns;
+        let pick = self.groups[group.0 as usize].pick(|c| conns[c.0 as usize].wqe_bytes);
         self.send_on(pick, size_bits, user)
     }
 
@@ -363,41 +350,33 @@ impl ClusterSim {
         assert!(size_bits > 0.0, "empty message");
         let msg_id = self.next_msg;
         self.next_msg += 1;
-        self.conns[conn_id.0 as usize].wqe_bytes += size_bits / 8.0;
-        self.conns[conn_id.0 as usize].inflight += 1;
+        let conn = &mut self.conns[conn_id.0 as usize];
+        conn.wqe_bytes += size_bits / 8.0;
+        conn.inflight += 1;
 
         // Revalidate the route lazily: health may have changed since the
         // connection was last used.
-        if self.conns[conn_id.0 as usize]
-            .route
-            .links
-            .iter()
-            .any(|&l| !self.health.is_up(l))
-        {
-            self.refresh_conn_route(conn_id);
-        }
-
+        let route_up = |cs: &Self| {
+            let links = &cs.conns[conn_id.0 as usize].route.links;
+            links.iter().all(|&l| cs.health.is_up(l))
+        };
+        let up = route_up(self) || (self.refresh_conn_route(conn_id) && route_up(self));
+        let flow = if up {
+            Some(self.start_flow(conn_id, size_bits, msg_id))
+        } else {
+            self.stats.stalls += 1;
+            None
+        };
         let hops = self.conns[conn_id.0 as usize].route.links.len() as u64;
-        let mut msg = Msg {
+        let msg = Msg {
             conn: Some(conn_id),
             user,
-            flow: None,
+            flow,
             size_bits,
             remaining_bits: size_bits,
             latency: self.latency.per_message + self.latency.per_hop.saturating_mul(hops),
-            stalled: false,
+            stalled: !up,
         };
-        if self.conns[conn_id.0 as usize]
-            .route
-            .links
-            .iter()
-            .all(|&l| self.health.is_up(l))
-        {
-            msg.flow = Some(self.start_flow(conn_id, size_bits, msg_id));
-        } else {
-            msg.stalled = true;
-            self.stats.stalls += 1;
-        }
         self.msgs.insert(msg_id, msg);
         msg_id
     }
@@ -748,8 +727,6 @@ impl ClusterSim {
         app.on_message_complete(
             self,
             MessageDone {
-                msg_id,
-                conn: m.conn,
                 user: m.user,
                 size_bits: m.size_bits,
             },
