@@ -250,9 +250,11 @@ fn workload_kind_examples_are_byte_identical_at_jobs_1_and_8() {
 #[test]
 fn telemetry_bytes_match_the_checked_in_hashes() {
     // The JSONL a cell writes is pinned, not just compared across `--jobs`:
-    // fig19 and three example scenarios at quick scale must reproduce the
-    // SHA-256s in tests/golden/telemetry_hashes.json byte for byte. Each
-    // cell has two: `<cell>` over the whole stream and
+    // fig19 and four example scenarios at quick scale must reproduce the
+    // SHA-256s in tests/golden/telemetry_hashes.json byte for byte. The
+    // fault-injection sweep is the one stream with `path_switch` lines: it
+    // pins the order in which converging links reroute and stall messages.
+    // Each cell has two: `<cell>` over the whole stream and
     // `<cell>/no_rate_recompute` over the stream without its
     // `rate_recompute` lines. The second pair only moves when something
     // other than the allocator's solve schedule changes.
@@ -269,22 +271,27 @@ fn telemetry_bytes_match_the_checked_in_hashes() {
     let dir = tmp_dir("determinism-telemetry-golden");
     let figure = RunPlan::figures_only(&["fig19"], Scale::Quick);
     run_plan(&figure, 1, Some(&dir)).expect("write fig19 telemetry");
-    let tasks: Vec<(Cell, _)> = ["moe_a2a.toml", "trace_replay.toml", "tiny_smoke.toml"]
-        .iter()
-        .enumerate()
-        .map(|(index, f)| {
-            let sc = scenario_cli::load(&root.join("examples/scenarios").join(f))
-                .expect("example parses and validates");
-            let cell = Cell {
-                index,
-                figure: sc.name.clone(),
-                seed: None,
-            };
-            (cell, move |ctx: &SimCtx, scale| {
-                scenario_cli::report_with_latency(ctx, &sc, scale, LatencyMode::Off)
-            })
+    let tasks: Vec<(Cell, _)> = [
+        "moe_a2a.toml",
+        "trace_replay.toml",
+        "tiny_smoke.toml",
+        "fault_injection_sweep.toml",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(index, f)| {
+        let sc = scenario_cli::load(&root.join("examples/scenarios").join(f))
+            .expect("example parses and validates");
+        let cell = Cell {
+            index,
+            figure: sc.name.clone(),
+            seed: None,
+        };
+        (cell, move |ctx: &SimCtx, scale| {
+            scenario_cli::report_with_latency(ctx, &sc, scale, LatencyMode::Off)
         })
-        .collect();
+    })
+    .collect();
     run_cells(tasks, Scale::Quick, 2, Some(&dir)).expect("write scenario telemetry");
 
     let got: BTreeMap<String, String> = dir_bytes(&dir)
