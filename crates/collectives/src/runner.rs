@@ -91,9 +91,13 @@ impl Runner {
     }
 
     /// Override the chunk spray factor (see `DEFAULT_SPRAY_FACTOR`'s
-    /// docs). Must be ≥ 1.
+    /// docs). Must be ≥ 1, and its product with every communicator's
+    /// `conns_per_pair` must fit in `u32`.
     pub fn with_spray(mut self, spray: u32) -> Self {
         assert!(spray >= 1, "spray factor must be positive");
+        for comm in &self.comms {
+            assert_spray_fits(spray, comm.config.conns_per_pair);
+        }
         self.spray = spray;
         self
     }
@@ -113,7 +117,12 @@ impl Runner {
     /// Register a communicator for jobs to share; returns its index.
     /// Sharing keeps connections (and their WQE history) alive across the
     /// iterations of a training run instead of re-establishing every time.
+    ///
+    /// Panics if the spray factor times the communicator's
+    /// `conns_per_pair` overflows `u32`: a sprayed Send counts its chunks
+    /// in a `u32`.
     pub fn add_comm(&mut self, comm: Communicator) -> usize {
+        assert_spray_fits(self.spray, comm.config.conns_per_pair);
         self.comms.push(comm);
         self.comms.len() - 1
     }
@@ -321,6 +330,20 @@ impl Runner {
     }
 }
 
+/// A sprayed Send posts `spray × window` chunks and counts them in a
+/// `u32`. Its window is at most `conns_per_pair`, since a group holds at
+/// most that many connections, so checking `spray × conns_per_pair` once
+/// per communicator covers every Send.
+fn assert_spray_fits(spray: u32, conns_per_pair: usize) {
+    let chunks = u32::try_from(conns_per_pair)
+        .ok()
+        .and_then(|c| spray.checked_mul(c));
+    assert!(
+        chunks.is_some(),
+        "spray factor {spray} × conns_per_pair {conns_per_pair} overflows u32"
+    );
+}
+
 /// The group a network Send is sprayed over, its window (one chunk in
 /// flight per connection) and the chunk size (`spray × window` chunks).
 fn spray_plan(
@@ -477,6 +500,25 @@ mod tests {
         runner.run(&mut cs, deadline);
         assert_eq!(cs.stats().completed, solo.stats().completed + 5);
         assert_eq!(runner.job_duration(job), dur);
+    }
+
+    #[test]
+    #[should_panic(expected = "spray factor 2147483648 × conns_per_pair 2 overflows u32")]
+    fn a_communicator_whose_spray_overflows_u32_is_refused() {
+        let cfg = CommConfig {
+            conns_per_pair: 2,
+            ..CommConfig::hpn_default()
+        };
+        let mut runner = Runner::new().with_spray(1 << 31);
+        runner.add_comm(rail0_comm(2, cfg));
+    }
+
+    #[test]
+    #[should_panic(expected = "spray factor 1073741824 × conns_per_pair 4 overflows u32")]
+    fn a_spray_set_after_add_comm_is_checked_too() {
+        let mut runner = Runner::new();
+        runner.add_comm(rail0_comm(2, CommConfig::hpn_default()));
+        let _ = runner.with_spray(1 << 30);
     }
 
     #[test]

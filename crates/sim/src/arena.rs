@@ -102,14 +102,36 @@ impl FlowArena {
         let taken = self.slots[idx].1.take();
         if taken.is_some() {
             self.live -= 1;
-            let dead = self.slots.len() - self.live;
-            if self.slots.len() >= COMPACT_MIN_SLOTS && dead * 2 > self.slots.len() {
-                self.slots.retain(|(_, f)| f.is_some());
-                self.ids.clear();
-                self.ids.extend(self.slots.iter().map(|&(id, _)| id));
-            }
+            self.compact_if_sparse();
         }
         taken
+    }
+
+    /// Remove every live flow that `pick` selects and hand each to `take`,
+    /// in ascending-id order: one pass over the slots, then at most one
+    /// compaction.
+    pub fn remove_where(
+        &mut self,
+        mut pick: impl FnMut(&Flow) -> bool,
+        mut take: impl FnMut(u64, Flow),
+    ) {
+        for (id, slot) in &mut self.slots {
+            if let Some(f) = slot.take_if(|f| pick(f)) {
+                self.live -= 1;
+                take(*id, f);
+            }
+        }
+        self.compact_if_sparse();
+    }
+
+    /// Drop the tombstones once they outnumber live flows.
+    fn compact_if_sparse(&mut self) {
+        let dead = self.slots.len() - self.live;
+        if self.slots.len() >= COMPACT_MIN_SLOTS && dead * 2 > self.slots.len() {
+            self.slots.retain(|(_, f)| f.is_some());
+            self.ids.clear();
+            self.ids.extend(self.slots.iter().map(|&(id, _)| id));
+        }
     }
 
     /// Borrow the flow under `id`, if live.
@@ -268,6 +290,29 @@ mod tests {
         a.insert(500, flow(500));
         assert_eq!(a.get(500).unwrap().spec().tag, 500);
         assert_eq!(a.get(199).unwrap().spec().tag, 199);
+    }
+
+    #[test]
+    fn remove_where_takes_picked_flows_in_id_order_and_compacts() {
+        let mut a = FlowArena::new();
+        for id in 0..100u64 {
+            a.insert(id, flow(id));
+        }
+        let mut taken = Vec::new();
+        a.remove_where(
+            |f| f.spec().tag % 4 != 0,
+            |id, f| taken.push((id, f.spec().tag)),
+        );
+        let want: Vec<(u64, u64)> = (0..100)
+            .filter(|id| id % 4 != 0)
+            .map(|id| (id, id))
+            .collect();
+        assert_eq!(taken, want);
+        assert_eq!(a.len(), 25);
+        assert_eq!(a.slots().len(), 25, "one compaction after the pass");
+        let ids: Vec<u64> = a.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, (0..100).step_by(4).collect::<Vec<u64>>());
+        assert_eq!(a.get(96).unwrap().spec().tag, 96);
     }
 
     #[test]

@@ -507,32 +507,33 @@ impl FlowNet {
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
         self.integrate_to(now);
         let mut done = Vec::new();
-        let finished: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining_bits <= DONE_EPS_BITS)
-            .map(|(id, _)| id)
-            .collect();
-        for id in finished {
-            let f = self.flows.remove(id).expect("flow disappeared");
-            self.allocator
-                .on_flow_removed(id, self.paths.get(f.spec.path));
-            // The one place a flow's completion time is measured: the
-            // sketch and the probe (hence telemetry) share this value.
-            let fct = now - f.started;
-            if let Some(p) = self.probe.as_mut() {
-                p.flow_removed(now, id, Some(fct));
-            }
-            self.fct.record(fct.as_secs_f64());
-            done.push(Completion {
-                handle: FlowHandle(id),
-                tag: f.spec.tag,
-                started: f.started,
-                finished: now,
-                size_bits: f.spec.size_bits,
-            });
-            self.rates_dirty = true;
-        }
+        let (allocator, paths, probe, sketch) = (
+            &mut self.allocator,
+            &self.paths,
+            &mut self.probe,
+            &mut self.fct,
+        );
+        self.flows.remove_where(
+            |f| f.remaining_bits <= DONE_EPS_BITS,
+            |id, f| {
+                allocator.on_flow_removed(id, paths.get(f.spec.path));
+                // The one place a flow's completion time is measured: the
+                // sketch and the probe (hence telemetry) share this value.
+                let fct = now - f.started;
+                if let Some(p) = probe.as_mut() {
+                    p.flow_removed(now, id, Some(fct));
+                }
+                sketch.record(fct.as_secs_f64());
+                done.push(Completion {
+                    handle: FlowHandle(id),
+                    tag: f.spec.tag,
+                    started: f.started,
+                    finished: now,
+                    size_bits: f.spec.size_bits,
+                });
+            },
+        );
+        self.rates_dirty |= !done.is_empty();
         done
     }
 

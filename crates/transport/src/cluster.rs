@@ -20,7 +20,7 @@
 //! one port's bandwidth; a single-ToR job halts.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use hpn_routing::bgp::DEFAULT_CONVERGENCE;
@@ -53,16 +53,24 @@ pub trait ClusterApp {
 
 /// A timer's payload. It rides in the heap entry; the entry's unique
 /// sequence number decides ties, so this order is never consulted.
+/// `MsgDone(slot)` delivers the message in `slot`: a local copy finished,
+/// or a network message's fixed latency ran out after its last bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
     App(u64),
     Converge { link: LinkIdx, up: bool },
     CableEvent { link: LinkIdx, up: bool },
-    LocalCopyDone(u64),
+    MsgDone(usize),
 }
 
+/// A message in flight. It lives in one slot of [`ClusterSim`]'s message
+/// table from send to completion. The slot is its handle inside the
+/// runtime: its flow's [`FlowSpec::tag`] and its `MsgDone` timer carry it.
+/// `id` is the send-order number that `send*` returns.
 #[derive(Clone, Debug)]
 struct Msg {
+    /// Unique and increasing in send order; never reused, unlike slots.
+    id: u64,
     conn: Option<ConnectionId>,
     user: u64,
     flow: Option<hpn_sim::FlowHandle>,
@@ -113,6 +121,14 @@ pub struct TransportStats {
 /// The cluster runtime. Public fields invite read-only inspection by
 /// experiments (link rates, queue lengths); mutation goes through methods.
 ///
+/// In-flight messages sit in a slot table: a completed message frees its
+/// slot and the next send takes the most recently freed one, so the table
+/// never holds more slots than the peak number of live messages, and
+/// flows and timers reach their message by a plain index. Slot order is
+/// therefore not send order. The only walks that need send order are
+/// convergence's reroutes, whose `PathSwitch` events and new flow ids
+/// follow it; they sort the messages they touch by id first.
+///
 /// The fabric and router are `Arc`-shared: both are immutable after
 /// construction (the router's policy knobs use copy-on-write via
 /// [`ClusterSim::router_mut`]), so a cross-request artifact cache can hand
@@ -134,7 +150,12 @@ pub struct ClusterSim {
     now: SimTime,
     conns: Vec<Connection>,
     groups: Vec<ConnGroup>,
-    msgs: BTreeMap<u64, Msg>,
+    /// In-flight messages by slot; `None` marks a free slot. Not indexed
+    /// by `id - base`: such a table would grow behind one stalled message.
+    msgs: Vec<Option<Msg>>,
+    /// The free slots of `msgs`, reused last-freed first.
+    free_slots: Vec<usize>,
+    /// The id the next message gets.
     next_msg: u64,
     /// Pending timers, fired in `(at, seq)` order.
     timers: BinaryHeap<Reverse<(SimTime, u64, Timer)>>,
@@ -198,7 +219,8 @@ impl ClusterSim {
             now: SimTime::ZERO,
             conns: Vec::new(),
             groups: Vec::new(),
-            msgs: BTreeMap::new(),
+            msgs: Vec::new(),
+            free_slots: Vec::new(),
             next_msg: 0,
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -260,7 +282,7 @@ impl ClusterSim {
 
     /// Messages currently in flight (including stalled ones).
     pub fn inflight(&self) -> usize {
-        self.msgs.len()
+        self.msgs.len() - self.free_slots.len()
     }
 
     /// Read a connection.
@@ -348,8 +370,7 @@ impl ClusterSim {
     /// Send over a specific connection.
     pub fn send_on(&mut self, conn_id: ConnectionId, size_bits: f64, user: u64) -> u64 {
         assert!(size_bits > 0.0, "empty message");
-        let msg_id = self.next_msg;
-        self.next_msg += 1;
+        let (id, slot) = self.claim();
         let conn = &mut self.conns[conn_id.0 as usize];
         conn.wqe_bytes += size_bits / 8.0;
         conn.inflight += 1;
@@ -362,47 +383,58 @@ impl ClusterSim {
         };
         let up = route_up(self) || (self.refresh_conn_route(conn_id) && route_up(self));
         let flow = if up {
-            Some(self.start_flow(conn_id, size_bits, msg_id))
+            Some(self.start_flow(conn_id, size_bits, slot))
         } else {
             self.stats.stalls += 1;
             None
         };
         let hops = self.conns[conn_id.0 as usize].route.links.len() as u64;
-        let msg = Msg {
+        let latency = self.latency.per_message + self.latency.per_hop.saturating_mul(hops);
+        self.msgs[slot] = Some(Msg {
+            id,
             conn: Some(conn_id),
             user,
             flow,
             size_bits,
             remaining_bits: size_bits,
-            latency: self.latency.per_message + self.latency.per_hop.saturating_mul(hops),
+            latency,
             stalled: !up,
-        };
-        self.msgs.insert(msg_id, msg);
-        msg_id
+        });
+        id
     }
 
     /// A same-GPU "send" (memory copy at NVLink speed) — collectives use
     /// this for rank-local reductions so their code stays uniform.
     pub fn send_local(&mut self, size_bits: f64, user: u64) -> u64 {
         assert!(size_bits > 0.0, "empty message");
-        let msg_id = self.next_msg;
-        self.next_msg += 1;
-        self.msgs.insert(
-            msg_id,
-            Msg {
-                conn: None,
-                user,
-                flow: None,
-                size_bits,
-                remaining_bits: size_bits,
-                latency: SimDuration::ZERO,
-                stalled: false,
-            },
-        );
+        let (id, slot) = self.claim();
         let dur = SimDuration::from_secs_f64(size_bits / self.fabric.host_params.nvlink_bps)
             + self.latency.per_message;
-        self.push_timer(self.now + dur, Timer::LocalCopyDone(msg_id));
-        msg_id
+        self.push_timer(self.now + dur, Timer::MsgDone(slot));
+        self.msgs[slot] = Some(Msg {
+            id,
+            conn: None,
+            user,
+            flow: None,
+            size_bits,
+            remaining_bits: size_bits,
+            latency: SimDuration::ZERO,
+            stalled: false,
+        });
+        id
+    }
+
+    /// The id and slot of a new message. The slot is the most recently
+    /// freed one, or a new one at the end when none is free; the caller
+    /// fills it.
+    fn claim(&mut self) -> (u64, usize) {
+        let id = self.next_msg;
+        self.next_msg += 1;
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.msgs.push(None);
+            self.msgs.len() - 1
+        });
+        (id, slot)
     }
 
     /// Intern a route's flow path and compute its demand cap (the min
@@ -418,11 +450,12 @@ impl ClusterSim {
         (self.net.intern_path(&route.flow_links()), demand)
     }
 
+    /// Start the flow of the message in `slot` on a connection's path.
     fn start_flow(
         &mut self,
         conn_id: ConnectionId,
         size_bits: f64,
-        msg_id: u64,
+        slot: usize,
     ) -> hpn_sim::FlowHandle {
         let conn = &self.conns[conn_id.0 as usize];
         self.net.start_flow(
@@ -431,7 +464,7 @@ impl ClusterSim {
                 path: conn.path,
                 size_bits,
                 demand_bps: conn.path_demand_bps,
-                tag: msg_id,
+                tag: slot as u64,
             },
         )
     }
@@ -552,39 +585,36 @@ impl ClusterSim {
     fn on_converge(&mut self, link: LinkIdx, up: bool) {
         self.health
             .set_recorded(link, up, self.now, &self.telemetry);
-        if !up {
-            // Re-issue every in-flight message whose path crosses the link.
-            let affected: Vec<u64> = self
-                .msgs
-                .iter()
-                .filter(|(_, m)| {
-                    m.conn
-                        .is_some_and(|c| self.conns[c.0 as usize].route.links.contains(&link))
-                        && !m.stalled
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for msg_id in affected {
-                self.reroute_msg(msg_id);
-            }
-        } else {
-            // Retry stalled messages.
-            let stalled: Vec<u64> = self
-                .msgs
-                .iter()
-                .filter(|(_, m)| m.stalled)
-                .map(|(&id, _)| id)
-                .collect();
-            for msg_id in stalled {
-                self.reroute_msg(msg_id);
-            }
+        // Down: re-issue every in-flight message whose path crosses the
+        // link. Up: retry every stalled message. Either way in send order,
+        // which slot order is not.
+        let conns = &self.conns;
+        let mut hit: Vec<(u64, usize)> = self
+            .msgs
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, m)| {
+                let m = m.as_ref()?;
+                let affected = if up {
+                    m.stalled
+                } else {
+                    !m.stalled
+                        && m.conn
+                            .is_some_and(|c| conns[c.0 as usize].route.links.contains(&link))
+                };
+                affected.then_some((m.id, slot))
+            })
+            .collect();
+        hit.sort_unstable();
+        for (_, slot) in hit {
+            self.reroute_msg(slot);
         }
     }
 
-    fn reroute_msg(&mut self, msg_id: u64) {
-        let Some(m) = self.msgs.get(&msg_id) else {
-            return;
-        };
+    fn reroute_msg(&mut self, slot: usize) {
+        let m = self.msgs[slot]
+            .as_ref()
+            .expect("a rerouted message is live");
         let Some(conn_id) = m.conn else { return };
         // Salvage what was already delivered.
         let remaining = m
@@ -598,21 +628,20 @@ impl ClusterSim {
         if let Some(h) = m.flow {
             self.net.kill_flow(self.now, h);
         }
-        self.msgs.get_mut(&msg_id).expect("present").remaining_bits = remaining;
-        let routed = self.refresh_conn_route(conn_id);
-        let m = self.msgs.get_mut(&msg_id).expect("checked above");
-        let rerouted = routed && remaining > 0.0;
-        if rerouted {
-            m.stalled = false;
-            m.flow = None;
+        let rerouted = self.refresh_conn_route(conn_id);
+        let flow = if rerouted {
             self.stats.reroutes += 1;
-            let h = self.start_flow(conn_id, remaining, msg_id);
-            self.msgs.get_mut(&msg_id).expect("still present").flow = Some(h);
+            Some(self.start_flow(conn_id, remaining, slot))
         } else {
-            m.stalled = true;
-            m.flow = None;
             self.stats.stalls += 1;
-        }
+            None
+        };
+        let m = self.msgs[slot]
+            .as_mut()
+            .expect("a rerouted message is live");
+        m.remaining_bits = remaining;
+        m.flow = flow;
+        m.stalled = !rerouted;
         self.telemetry.emit(|| Event::PathSwitch {
             t_ns: self.now.as_nanos(),
             conn: conn_id.0,
@@ -653,7 +682,7 @@ impl ClusterSim {
                         self.fail_cable(link);
                     }
                 }
-                Timer::LocalCopyDone(msg_id) => self.complete_msg(app, msg_id),
+                Timer::MsgDone(slot) => self.complete_msg(app, slot),
             }
         }
     }
@@ -664,7 +693,7 @@ impl ClusterSim {
         let dones = self.net.advance(target);
         self.now = target;
         for d in dones {
-            self.flow_done(app, d.tag);
+            self.flow_done(app, d.tag as usize);
         }
     }
 
@@ -700,24 +729,22 @@ impl ClusterSim {
 
     /// A message's flow finished on the wire; charge the fixed latency
     /// before declaring the message complete.
-    fn flow_done<A: ClusterApp>(&mut self, app: &mut A, msg_id: u64) {
-        let Some(m) = self.msgs.get_mut(&msg_id) else {
-            return;
-        };
+    fn flow_done<A: ClusterApp>(&mut self, app: &mut A, slot: usize) {
+        let m = self.msgs[slot].as_mut().expect("a flow's message is live");
         m.flow = None;
         m.remaining_bits = 0.0;
         if m.latency == SimDuration::ZERO {
-            self.complete_msg(app, msg_id);
+            self.complete_msg(app, slot);
         } else {
             let at = self.now + m.latency;
-            self.push_timer(at, Timer::LocalCopyDone(msg_id));
+            self.push_timer(at, Timer::MsgDone(slot));
         }
     }
 
-    fn complete_msg<A: ClusterApp>(&mut self, app: &mut A, msg_id: u64) {
-        let Some(m) = self.msgs.remove(&msg_id) else {
-            return; // already completed via another path (e.g. rerouted twice)
-        };
+    /// Deliver the message in `slot` and free the slot.
+    fn complete_msg<A: ClusterApp>(&mut self, app: &mut A, slot: usize) {
+        let m = self.msgs[slot].take().expect("a delivered message is live");
+        self.free_slots.push(slot);
         if let Some(c) = m.conn {
             let conn = &mut self.conns[c.0 as usize];
             conn.wqe_bytes = (conn.wqe_bytes - m.size_bits / 8.0).max(0.0);
@@ -757,6 +784,12 @@ mod tests {
 
     fn sim() -> ClusterSim {
         ClusterSim::new(HpnConfig::tiny().build(), HashMode::Polarized)
+    }
+
+    /// The live message with send-order id `id`.
+    fn msg(cs: &ClusterSim, id: u64) -> &Msg {
+        let m = cs.msgs.iter().flatten().find(|m| m.id == id);
+        m.expect("a live message")
     }
 
     #[test]
@@ -821,7 +854,7 @@ mod tests {
         assert_eq!(cs.group(g).conns.len(), 2, "two planes");
         let a = cs.send_group(g, GB, 0);
         let b = cs.send_group(g, GB, 1);
-        let (ca, cb) = (cs.msgs[&a].conn.unwrap(), cs.msgs[&b].conn.unwrap());
+        let (ca, cb) = (msg(&cs, a).conn.unwrap(), msg(&cs, b).conn.unwrap());
         assert_ne!(ca, cb, "second message avoids the loaded connection");
     }
 
@@ -858,6 +891,73 @@ mod tests {
         assert_eq!(cs.stats().reroutes, 1);
         // And the connection's port flipped.
         assert_eq!(cs.conn(cid).route.port, Some(1 - port));
+    }
+
+    #[test]
+    fn reroutes_follow_send_order_when_slots_are_reused() {
+        let mut cs = sim();
+        let mut app = Recorder::default();
+        let g = cs.establish_group((0, 0), (1, 0), 1, PathPolicy::Single, 49152);
+        let cid = cs.group(g).conns[0];
+        let port = cs.conn(cid).route.port.unwrap();
+        let access = cs.fabric.hosts[0].nic_up[0][port].unwrap();
+        // A short message finishes first and frees slot 0; the next send
+        // takes it, so slot order (3, 1, 2) is not send order.
+        cs.send_group(g, 1e6, 0);
+        let mut ids = vec![
+            cs.send_group(g, 20.0 * GB, 1),
+            cs.send_group(g, 20.0 * GB, 2),
+        ];
+        cs.run(&mut app, SimTime::from_millis(100));
+        assert_eq!(app.done.len(), 1);
+        ids.push(cs.send_group(g, 20.0 * GB, 3));
+        let by_slot: Vec<u64> = cs.msgs.iter().flatten().map(|m| m.id).collect();
+        assert_eq!(by_slot, [3, 1, 2]);
+        // The cut converges at 0.6 s; every live message crosses it.
+        cs.fail_cable(access);
+        cs.run(&mut app, SimTime::from_millis(700));
+        assert_eq!(cs.stats().reroutes, 3);
+        let flows: Vec<hpn_sim::FlowHandle> = ids
+            .iter()
+            .map(|&id| msg(&cs, id).flow.expect("rerouted onto the other port"))
+            .collect();
+        assert!(
+            flows.windows(2).all(|w| w[0] < w[1]),
+            "reroutes restart flows in send order: {flows:?}"
+        );
+        assert_eq!(cs.inflight(), 3);
+        assert_eq!(cs.inflight(), cs.msgs.iter().flatten().count());
+    }
+
+    #[test]
+    fn message_slots_stay_within_peak_live_messages() {
+        const MAX_LIVE: usize = 8;
+        const SENDS: u64 = 500;
+        let mut cs = sim();
+        let mut app = Recorder::default();
+        let g = cs.establish_group((0, 0), (1, 0), 2, PathPolicy::LeastWqe, 49152);
+        let mut peak = 0;
+        for i in 0..SENDS {
+            // Sizes vary, so messages finish out of send order and free
+            // their slots in scattered order.
+            let bits = ((i * 7) % 5 + 1) as f64 * 1e6;
+            if i % 2 == 0 {
+                cs.send_group(g, bits, i);
+            } else {
+                cs.send_local(bits, i);
+            }
+            peak = peak.max(cs.inflight());
+            if cs.inflight() == MAX_LIVE {
+                let done = app.done.len();
+                let deadline = cs.now() + SimDuration::from_secs(1);
+                assert!(cs.run_until(&mut app, deadline, |a| a.done.len() > done));
+            }
+        }
+        cs.run(&mut app, cs.now() + SimDuration::from_secs(1));
+        assert_eq!(app.done.len(), SENDS as usize);
+        assert_eq!(cs.inflight(), 0);
+        assert_eq!(peak, MAX_LIVE);
+        assert_eq!(cs.msgs.len(), peak, "freed slots are reused");
     }
 
     #[test]
