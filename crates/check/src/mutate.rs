@@ -16,7 +16,7 @@ pub enum Mutation {
     /// No bug — the production configuration.
     #[default]
     None,
-    /// After every recompute, bump the first live flow's rate by 5% (+1
+    /// After every recompute, bump the oldest live flow's rate by 5% (+1
     /// bit/s so a zero rate also moves). Breaks dense/incremental
     /// equivalence immediately and capacity conservation on saturated
     /// links.
@@ -65,12 +65,12 @@ impl RateAllocator for MutantAlloc {
         self.inner.on_link_added(link);
     }
 
-    fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        self.inner.on_flow_added(id, spec, path);
+    fn on_flow_added(&mut self, key: u64, spec: &FlowSpec, path: &[LinkId]) {
+        self.inner.on_flow_added(key, spec, path);
     }
 
-    fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        self.inner.on_flow_removed(id, path);
+    fn on_flow_removed(&mut self, key: u64, path: &[LinkId]) {
+        self.inner.on_flow_removed(key, path);
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
@@ -80,7 +80,7 @@ impl RateAllocator for MutantAlloc {
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
         self.inner.recompute(ctx);
         if let Mutation::RateOvershoot = self.mutation {
-            if let Some((_, f)) = ctx.flows.iter_mut().next() {
+            if let Some(f) = ctx.flows.iter_mut().flatten().min_by_key(|f| f.id()) {
                 let r = f.rate_bps();
                 f.set_rate_bps(r * 1.05 + 1.0);
             }

@@ -378,9 +378,9 @@ fn run_script(
             Op::Advance { dt } => {
                 now += SimDuration::from_secs_f64(dt);
                 for c in net.advance(now) {
-                    completed.push(c.handle.0);
+                    completed.push(c.handle.id());
                 }
-                live.retain(|(h, _, _)| !completed.contains(&h.0));
+                live.retain(|(h, _, _)| !completed.contains(&h.id()));
             }
             Op::Kill { nth } => {
                 if !live.is_empty() {
@@ -398,7 +398,7 @@ fn run_script(
         audit_net(&mut net, routes, &live, scale, label, i)?;
         let rates: Vec<(u64, f64)> = live
             .iter()
-            .map(|&(h, _, _)| (h.0, net.flow_rate(h).unwrap_or(f64::NAN)))
+            .map(|&(h, _, _)| (h.id(), net.flow_rate(h).unwrap_or(f64::NAN)))
             .collect();
         trace.rates.push(rates);
         trace.completions.push(completed);
@@ -422,7 +422,7 @@ fn audit_net(
     let mut flows: Vec<(u64, f64, f64, usize)> = Vec::new(); // handle, rate, demand, route
     for &(h, route, demand) in live {
         let rate = net.flow_rate(h).unwrap_or(0.0);
-        flows.push((h.0, rate, demand, route));
+        flows.push((h.id(), rate, demand, route));
         for &l in &routes[route] {
             *sum.entry(l.0).or_insert(0.0) += rate;
             let m = maxr.entry(l.0).or_insert(0.0);

@@ -15,6 +15,9 @@ use crate::graph::{OpGraph, OpKind};
 /// `u64::MAX` word it decodes to job `u32::MAX`, which never exists.
 const SAMPLER_TAG: u64 = u64::MAX;
 
+/// The [`OpTables::group`] entry of an op that is not a sprayed Send.
+const NO_GROUP: GroupId = GroupId(u32::MAX);
+
 /// The `user` word of every message and compute timer the runner issues:
 /// it names the op the completion counts towards.
 fn op_key(job: u32, op: u32) -> u64 {
@@ -37,8 +40,12 @@ struct OpTables {
     /// What each op still waits for: its unsatisfied dependencies until it
     /// is issued, then its unfinished messages (1 for a local send, copy or
     /// compute; `spray × window` for a sprayed Send). An op is done when
-    /// this reaches 0 after issue; a second completion would underflow.
+    /// this reaches 0 after issue; a second completion panics.
     remaining: Vec<u32>,
+    /// The group each sprayed Send was issued over (`NO_GROUP` for every
+    /// other op). A pair's group never changes, so each chunk completion
+    /// reads it here instead of looking the pair up again.
+    group: Vec<GroupId>,
     /// Reverse edges: op -> ops that depend on it.
     dependents: Vec<Vec<u32>>,
 }
@@ -146,6 +153,7 @@ impl Runner {
             ops: Some(OpTables {
                 graph,
                 remaining,
+                group: vec![NO_GROUP; n],
                 dependents,
             }),
             outstanding: n,
@@ -246,11 +254,13 @@ impl Runner {
         let kind = ops.expect("unfinished job keeps its ops").graph.ops()[op as usize].kind;
         let key = op_key(job, op);
         let comm = &mut self.comms[self.jobs[job as usize].comm];
+        let mut group = NO_GROUP;
         let waits = match kind {
             OpKind::Send { src, dst, bits } if !comm.same_host(src, dst) => {
-                let (g, window, per) = spray_plan(comm, cs, self.spray, src, dst, bits);
+                group = comm.group_for(cs, src, dst);
+                let (window, per) = spray_plan(cs, group, self.spray, bits);
                 for _ in 0..window {
-                    cs.send_group(g, per, key);
+                    cs.send_group(group, per, key);
                 }
                 self.spray * window
             }
@@ -264,7 +274,9 @@ impl Runner {
             }
         };
         let t = self.jobs[job as usize].ops.as_mut();
-        t.expect("unfinished job keeps its ops").remaining[op as usize] = waits;
+        let t = t.expect("unfinished job keeps its ops");
+        t.remaining[op as usize] = waits;
+        t.group[op as usize] = group;
     }
 
     /// One message or compute timer of `key`'s op finished: count it off,
@@ -279,17 +291,15 @@ impl Runner {
         let Some(t) = j.ops.as_mut() else {
             return;
         };
-        let left = &mut t.remaining[op as usize];
-        *left -= 1;
-        let left = *left;
+        let left = count_off(&mut t.remaining[op as usize], job, op);
         if left == 0 {
             return self.op_done(cs, job, op);
         }
-        if let OpKind::Send { src, dst, bits } = t.graph.ops()[op as usize].kind {
+        if let OpKind::Send { bits, .. } = t.graph.ops()[op as usize].kind {
             // The group's policy consults the WQE counters *now*, so
             // congested connections receive fewer chunks (Algorithm 2).
-            let comm = &mut self.comms[j.comm];
-            let (g, window, per) = spray_plan(comm, cs, self.spray, src, dst, bits);
+            let g = t.group[op as usize];
+            let (window, per) = spray_plan(cs, g, self.spray, bits);
             if left >= window {
                 cs.send_group(g, per, key);
             }
@@ -301,9 +311,7 @@ impl Runner {
         let t = j.ops.as_mut().expect("unfinished job keeps its ops");
         let mut unlocked: Vec<u32> = Vec::new();
         for &d in &t.dependents[op as usize] {
-            let r = &mut t.remaining[d as usize];
-            *r -= 1;
-            if *r == 0 {
+            if count_off(&mut t.remaining[d as usize], job, d) == 0 {
                 unlocked.push(d);
             }
         }
@@ -344,19 +352,23 @@ fn assert_spray_fits(spray: u32, conns_per_pair: usize) {
     );
 }
 
-/// The group a network Send is sprayed over, its window (one chunk in
-/// flight per connection) and the chunk size (`spray × window` chunks).
-fn spray_plan(
-    comm: &mut Communicator,
-    cs: &mut ClusterSim,
-    spray: u32,
-    src: u32,
-    dst: u32,
-    bits: f64,
-) -> (GroupId, u32, f64) {
-    let g = comm.group_for(cs, src, dst);
+/// The window of a Send of `bits` sprayed over group `g` (one chunk in
+/// flight per connection) and its chunk size (`spray × window` chunks).
+fn spray_plan(cs: &ClusterSim, g: GroupId, spray: u32, bits: f64) -> (u32, f64) {
     let window = cs.group(g).conns.len().max(1) as u32;
-    (g, window, bits / (spray * window) as f64)
+    (window, bits / (spray * window) as f64)
+}
+
+/// Count one completion off `left`, what `job`'s op `op` still waits for,
+/// and return the new count. A count already at zero means a completion
+/// arrived for an op that needed no more: panic in every build, since a
+/// wrapped counter would leave the op unfinished and its job running to
+/// its deadline.
+fn count_off(left: &mut u32, job: u32, op: u32) -> u32 {
+    *left = left
+        .checked_sub(1)
+        .unwrap_or_else(|| panic!("job {job} op {op} got a completion it does not wait for"));
+    *left
 }
 
 impl ClusterApp for Runner {
@@ -552,6 +564,23 @@ mod tests {
         assert_eq!(cs.stats().completed, 3 * w as u64, "spray × window chunks");
         assert_eq!(cs.inflight(), 0, "no chunk outlives its op");
         assert_eq!(*peak.lock().unwrap(), w, "the window never overfills");
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 op 0 got a completion it does not wait for")]
+    fn a_second_completion_of_an_op_panics() {
+        let mut cs = sim();
+        let mut g = OpGraph::new();
+        let dur = SimDuration::from_millis(10);
+        let a = g.add(OpKind::Compute { rank: 0, dur }, vec![]);
+        // A dependent keeps the job live after `a` finishes.
+        g.add(OpKind::Compute { rank: 0, dur }, vec![a]);
+        let mut runner = Runner::new();
+        let c = runner.add_comm(rail0_comm(2, CommConfig::single_path()));
+        let job = runner.add_job(g, c) as u32;
+        runner.launch_job(&mut cs, job as usize);
+        runner.on_timer(&mut cs, op_key(job, a));
+        runner.on_timer(&mut cs, op_key(job, a));
     }
 
     #[test]

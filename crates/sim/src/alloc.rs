@@ -29,11 +29,21 @@
 //! ~ulp; identical per-component arithmetic makes their rates **bitwise
 //! equal**, so figures regenerate byte-identically under either allocator.
 //!
+//! The net names each flow to its allocator by **key**: the flow's slot in
+//! the net's flow table (see [`crate::arena`]). A key is unique among live
+//! flows and reused after removal, so [`IncrementalMaxMin`] keeps its
+//! per-flow records in a slab indexed by the key, with no map in between,
+//! and both allocators write rates back with indexed stores. Keys are not
+//! in id order; the net adds flows in id order, so each allocator numbers
+//! them on arrival and orders its rows by that number.
+//!
 //! Every recompute records how much it touched in a
 //! [`crate::stats::RecomputeScope`], making the incremental win observable
 //! (`hpn-experiments`/benches report flows-touched-per-event ratios).
 
-use crate::arena::FlowArena;
+use std::collections::BTreeMap;
+
+use crate::arena::Flow;
 use crate::flownet::{FlowSpec, LinkId, LinkState, RATE_EPS};
 use crate::fxhash::FxHashMap;
 use crate::path::{PathId, PathInterner};
@@ -156,8 +166,11 @@ impl HotSet {
 /// split out of `FlowNet` so allocators (stored inside the net) can work on
 /// the rest of it.
 pub struct AllocCtx<'a> {
-    /// Active flows; allocators write rates back through this.
-    pub flows: &'a mut FlowArena,
+    /// The net's flow table, indexed by key; `None` marks a free slot.
+    /// Allocators write rates back through this.
+    pub flows: &'a mut [Option<Flow>],
+    /// Number of live flows in `flows`.
+    pub live_flows: usize,
     /// Per-link state; capacities are read, aggregates written.
     pub links: &'a mut [LinkState],
     /// Resolves each flow spec's `PathId` to its link sequence.
@@ -188,17 +201,23 @@ pub trait RateAllocator: Send {
         let _ = link;
     }
 
-    /// A flow was injected with the given spec and resolved path. The spec
-    /// is passed so membership-tracking allocators can record the flow's
-    /// `(path, demand)` problem row up front and never page the flow arena
-    /// back in during `recompute` closures.
-    fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        let _ = (id, spec, path);
+    /// A flow was injected with the given spec and resolved path.
+    ///
+    /// `key` is the flow's slot in [`AllocCtx::flows`]: unique among live
+    /// flows, and handed to a later flow once this one is removed. The net
+    /// adds flows in increasing id order, so counting these calls numbers
+    /// flows in id order. The spec is passed so membership-tracking
+    /// allocators can record the flow's `(path, demand)` problem row up
+    /// front and never page the flow table back in during `recompute`
+    /// closures.
+    fn on_flow_added(&mut self, key: u64, spec: &FlowSpec, path: &[LinkId]) {
+        let _ = (key, spec, path);
     }
 
-    /// A flow completed or was killed; `path` is its resolved path.
-    fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        let _ = (id, path);
+    /// The flow under `key` completed or was killed; `path` is its
+    /// resolved path. Flows that leave at one instant leave in id order.
+    fn on_flow_removed(&mut self, key: u64, path: &[LinkId]) {
+        let _ = (key, path);
     }
 
     /// A link's capacity or up/down state changed.
@@ -480,10 +499,9 @@ impl ComponentFill {
 /// from the given `(path, demand)` problem rows and their solved rates
 /// (indexed alike, ascending flow-id order). Callers guarantee closure:
 /// every flow crossing a listed link is listed, and every link of a listed
-/// flow is listed. Working from rows rather than flow ids keeps this free
-/// of arena lookups; the float-op order is exactly the id-iteration order
-/// the original arena-walking version used, so aggregates stay bitwise
-/// identical across allocators.
+/// flow is listed. Working from rows keeps this free of flow-table
+/// lookups; each link sums its flows in ascending-id order, so aggregates
+/// stay bitwise identical across allocators.
 fn refresh_link_aggregates_rows(
     ctx: &mut AllocCtx<'_>,
     link_indices: &[usize],
@@ -557,6 +575,13 @@ fn update_hot(ctx: &mut AllocCtx<'_>, touched: &[usize]) {
 #[derive(Default)]
 pub struct DenseMaxMin {
     solver: ComponentFill,
+    /// Live flows' keys by arrival number, so a walk visits them in id
+    /// order: O(log n) per hook, where sorting the live flows would cost
+    /// O(n log n) per solve.
+    order: BTreeMap<u64, u32>,
+    /// Per key: the arrival number of its live flow.
+    arrival_of: Vec<u64>,
+    arrivals: u64,
     scratch_flows: Vec<(PathId, f64)>,
 }
 
@@ -565,19 +590,42 @@ impl RateAllocator for DenseMaxMin {
         AllocatorKind::Dense
     }
 
+    fn on_flow_added(&mut self, key: u64, _: &FlowSpec, _: &[LinkId]) {
+        let k32 = u32::try_from(key).expect("flow keys fit u32");
+        let k = k32 as usize;
+        if k >= self.arrival_of.len() {
+            self.arrival_of.resize(k + 1, 0);
+        }
+        self.arrival_of[k] = self.arrivals;
+        self.order.insert(self.arrivals, k32);
+        self.arrivals += 1;
+    }
+
+    fn on_flow_removed(&mut self, key: u64, _: &[LinkId]) {
+        let gone = self.order.remove(&self.arrival_of[key as usize]);
+        assert_eq!(
+            gone.map(u64::from),
+            Some(key),
+            "removed flow key {key} is live"
+        );
+    }
+
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
-        // Dense working arrays over the active flows, in ascending-id
-        // (arena) order. No per-recompute `Vec<&Flow>` snapshot: the arena
-        // iterates in place and the fill works on (path-id, demand) pairs.
+        // The live flows' (path-id, demand) rows, in ascending-id order.
         self.scratch_flows.clear();
-        for (_, f) in ctx.flows.iter() {
-            self.scratch_flows
-                .push((f.spec().path, f.spec().demand_bps));
+        for &key in self.order.values() {
+            let f = ctx.flows[key as usize]
+                .as_ref()
+                .expect("a keyed flow is live");
+            self.scratch_flows.push((f.spec.path, f.spec.demand_bps));
         }
         let (rate, active_links) = self.solver.run(ctx.links, ctx.paths, &self.scratch_flows);
 
-        for ((_, f), r) in ctx.flows.iter_mut().zip(rate.iter()) {
-            f.set_rate_bps(*r);
+        for (&key, &r) in self.order.values().zip(rate.iter()) {
+            ctx.flows[key as usize]
+                .as_mut()
+                .expect("a keyed flow is live")
+                .rate_bps = r;
         }
         // Zero stats on every link that was active before this recompute
         // too (it may have just lost its last flow): the old hot set covers
@@ -588,31 +636,33 @@ impl RateAllocator for DenseMaxMin {
         touched.dedup();
         refresh_link_aggregates_rows(ctx, &touched, &self.scratch_flows, &rate);
         update_hot(ctx, &touched);
-        let n = ctx.flows.len();
+        let n = ctx.live_flows;
         ctx.scope.record(n, touched.len(), n);
     }
 }
 
-/// One closure problem row: `(flow id, path, demand_bps)`.
-type ProblemRow = (u64, PathId, f64);
+/// One closure problem row: `(arrival, key, path, demand_bps)`.
+type ProblemRow = (u64, u32, PathId, f64);
 
-/// A live flow's record in the [`IncrementalMaxMin`] slab.
+/// A flow's record in the [`IncrementalMaxMin`] slab, at the flow's key.
 struct FlowRec {
-    id: u64,
+    /// Counts `on_flow_added` calls, so it ascends with the flow id.
+    arrival: u64,
     path: PathId,
     demand: f64,
     /// Epoch of the last closure that expanded this flow.
     mark: u64,
     /// `pos[k]`: index, in the member list of the `k`-th link of the
-    /// flow's path, of the entry standing for that occurrence.
+    /// flow's path, of the entry standing for that occurrence. Empty while
+    /// the key is free.
     pos: Vec<u32>,
 }
 
 /// One entry of a per-link member list: occurrence `k` of the path of the
-/// flow in slab slot `slot`.
+/// flow under `key`.
 #[derive(Clone, Copy)]
 struct Member {
-    slot: u32,
+    key: u32,
     k: u32,
 }
 
@@ -627,19 +677,19 @@ struct Member {
 /// they are bitwise stable across unrelated perturbations.
 #[derive(Default)]
 pub struct IncrementalMaxMin {
-    /// One record per live flow. Freed slots go on `free` and are reused,
-    /// so the slab never holds more slots than the peak live-flow count.
+    /// One record per key, so the slab is never longer than the net's
+    /// flow table. A freed key's record stays, with an empty `pos`, until
+    /// the key's next flow reuses it.
     slab: Vec<FlowRec>,
-    free: Vec<u32>,
-    /// Flow id → slab slot; probed once per removal.
-    slot_of: FxHashMap<u64, u32>,
+    /// The next arrival number.
+    arrivals: u64,
     /// Per link: one entry per occurrence of the link in a live flow's
     /// path, so a flow whose path repeats a link appears once per
     /// occurrence (mirrors the fill's per-occurrence share accounting).
     /// Each entry's slab record points back at it through `pos`, which
     /// makes removal a swap-remove instead of a scan. The records carry the
     /// `(path, demand)` problem row, so
-    /// [`IncrementalMaxMin::closure_grouped`] never touches the flow arena.
+    /// [`IncrementalMaxMin::closure_grouped`] never touches the flow table.
     /// Like `link_mark`, it covers only the links up to the highest one a
     /// flow or a link change has named (see [`IncrementalMaxMin::cover`]).
     members: Vec<Vec<Member>>,
@@ -670,20 +720,21 @@ impl IncrementalMaxMin {
     /// still unvisited starts one BFS wave, and a wave can only reach its
     /// own component, so draining the queue per seed yields one group per
     /// component. Runs entirely over the membership table and the slab —
-    /// no flow-arena lookups.
+    /// no flow-table lookups.
     ///
     /// Fills `rows`, `comp_links` and `bounds`: the perturbed flows as
-    /// full `(id, path, demand)` problem rows, the perturbed links
-    /// (unsorted), and `bounds[g]..bounds[g + 1]`, the row range of group
-    /// `g`. Within a group rows ascend by id, matching the dense solver's
-    /// freeze order. Seeds with no member flows (e.g. a link whose last
-    /// flow just left) contribute their links but no group.
+    /// full `(arrival, key, path, demand)` problem rows, the perturbed
+    /// links (unsorted), and `bounds[g]..bounds[g + 1]`, the row range of
+    /// group `g`. Within a group rows ascend by arrival, i.e. by flow id,
+    /// matching the dense solver's freeze order. Seeds with no member
+    /// flows (e.g. a link whose last flow just left) contribute their
+    /// links but no group.
     ///
     /// Each flow is pushed and its path expanded once: the first member
     /// entry that reaches it stamps its slab record with the epoch, and
     /// every later entry (on another link of its path, or a repeat of the
     /// same link) skips it. So rows arrive unique and a group needs only
-    /// the sort by id.
+    /// the sort by arrival.
     fn closure_grouped(&mut self, paths: &PathInterner) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -714,12 +765,12 @@ impl IncrementalMaxMin {
             while let Some(lj) = queue.pop() {
                 comp_links.push(lj);
                 for m in &members[lj] {
-                    let rec = &mut slab[m.slot as usize];
+                    let rec = &mut slab[m.key as usize];
                     if rec.mark == epoch {
                         continue;
                     }
                     rec.mark = epoch;
-                    rows.push((rec.id, rec.path, rec.demand));
+                    rows.push((rec.arrival, m.key, rec.path, rec.demand));
                     for lk in paths.get(rec.path) {
                         let lk = lk.0 as usize;
                         if link_mark[lk] != epoch {
@@ -729,7 +780,7 @@ impl IncrementalMaxMin {
                     }
                 }
             }
-            rows[start..].sort_unstable_by_key(|&(id, _, _)| id);
+            rows[start..].sort_unstable_by_key(|&(arrival, ..)| arrival);
             if rows.len() > start {
                 bounds.push(rows.len());
             }
@@ -750,37 +801,56 @@ impl IncrementalMaxMin {
         }
     }
 
-    /// Assert the membership table's invariants: every member entry's
-    /// `pos` points back at it, every live flow has one entry per path
-    /// occurrence on the right link, and the slab holds exactly the live
-    /// slots plus the free ones.
+    /// Assert the membership table's invariants against the net's flow
+    /// table, given as `table[key] = Some((flow id, path))` for each live
+    /// key: the slab is no longer than the table, each live key's record
+    /// holds its flow's path with one member entry per path occurrence on
+    /// the right link, every member entry's `pos` points back at it, free
+    /// keys hold no entries, and arrival numbers ascend with flow ids.
     #[cfg(test)]
-    fn check_membership(&self, paths: &PathInterner) {
-        assert_eq!(
+    fn check_membership(&self, paths: &PathInterner, table: &[Option<(u64, PathId)>]) {
+        assert!(
+            self.slab.len() <= table.len(),
+            "slab of {} outgrew the flow table of {}",
             self.slab.len(),
-            self.slot_of.len() + self.free.len(),
-            "slab slots = live + free"
+            table.len()
         );
-        for (&id, &slot) in &self.slot_of {
-            let rec = &self.slab[slot as usize];
-            assert_eq!(rec.id, id, "slot {slot} holds flow {id}");
+        assert!(
+            table[self.slab.len()..].iter().all(Option::is_none),
+            "a live key lies past the slab"
+        );
+        let mut arrivals: Vec<(u64, u64)> = Vec::new();
+        for (key, rec) in self.slab.iter().enumerate() {
+            let Some((id, path)) = table[key] else {
+                assert!(rec.pos.is_empty(), "free key {key} keeps member entries");
+                continue;
+            };
+            assert_eq!(rec.path, path, "key {key} holds flow {id}'s path");
+            arrivals.push((id, rec.arrival));
             let links = paths.get(rec.path);
             assert_eq!(rec.pos.len(), links.len(), "flow {id}: one pos per hop");
             for (k, (l, &p)) in links.iter().zip(&rec.pos).enumerate() {
                 let m = self.members[l.0 as usize][p as usize];
-                assert_eq!((m.slot, m.k as usize), (slot, k), "flow {id} hop {k}");
+                assert_eq!(
+                    (m.key as usize, m.k as usize),
+                    (key, k),
+                    "flow {id} hop {k}"
+                );
             }
         }
-        let mut live: Vec<u32> = self.slot_of.values().copied().collect();
-        live.sort_unstable();
+        arrivals.sort_unstable();
+        assert!(
+            arrivals.windows(2).all(|w| w[0].1 < w[1].1),
+            "arrival numbers ascend with flow ids"
+        );
         for (li, list) in self.members.iter().enumerate() {
             for (i, m) in list.iter().enumerate() {
                 assert!(
-                    live.binary_search(&m.slot).is_ok(),
-                    "link {li} entry {i}: slot {} is not live",
-                    m.slot
+                    table[m.key as usize].is_some(),
+                    "link {li} entry {i}: key {} is not live",
+                    m.key
                 );
-                let pos = self.slab[m.slot as usize].pos[m.k as usize];
+                let pos = self.slab[m.key as usize].pos[m.k as usize];
                 assert_eq!(pos as usize, i, "link {li} entry {i}: pos points back");
             }
         }
@@ -792,49 +862,62 @@ impl RateAllocator for IncrementalMaxMin {
         AllocatorKind::Incremental
     }
 
-    fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        // A reused slot hands its `pos` buffer on to the new flow.
-        let (slot, mut pos) = match self.free.pop() {
-            Some(s) => (s, std::mem::take(&mut self.slab[s as usize].pos)),
-            None => (self.slab.len() as u32, Vec::new()),
+    fn on_flow_added(&mut self, key: u64, spec: &FlowSpec, path: &[LinkId]) {
+        let k32 = u32::try_from(key).expect("flow keys fit u32");
+        let slot = k32 as usize;
+        // A reused key hands its `pos` buffer on to the new flow.
+        let mut pos = match self.slab.get_mut(slot) {
+            Some(r) => std::mem::take(&mut r.pos),
+            None => {
+                assert_eq!(slot, self.slab.len(), "flow keys are table slots");
+                Vec::new()
+            }
         };
-        pos.clear();
+        assert!(pos.is_empty(), "flow key {key} added while live");
         for (k, l) in path.iter().enumerate() {
             self.cover(*l);
             let m = &mut self.members[l.0 as usize];
             pos.push(m.len() as u32);
-            m.push(Member { slot, k: k as u32 });
+            m.push(Member {
+                key: k32,
+                k: k as u32,
+            });
             self.dirty.push(l.0);
         }
         // Epochs start at 1, so mark 0 is never the current closure's.
         let rec = FlowRec {
-            id,
+            arrival: self.arrivals,
             path: spec.path,
             demand: spec.demand_bps,
             mark: 0,
             pos,
         };
-        match self.slab.get_mut(slot as usize) {
+        self.arrivals += 1;
+        match self.slab.get_mut(slot) {
             Some(r) => *r = rec,
             None => self.slab.push(rec),
         }
-        self.slot_of.insert(id, slot);
     }
 
-    fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        let slot = self.slot_of.remove(&id).expect("removed flow was added");
+    fn on_flow_removed(&mut self, key: u64, path: &[LinkId]) {
+        let slot = key as usize;
+        assert_eq!(
+            self.slab.get(slot).map(|r| r.pos.len()),
+            Some(path.len()),
+            "removed flow key {key} is live"
+        );
         for (k, l) in path.iter().enumerate() {
             // Read `pos` afresh per hop: when the path repeats a link, an
             // earlier hop's swap may have moved this occurrence.
-            let p = self.slab[slot as usize].pos[k] as usize;
+            let p = self.slab[slot].pos[k] as usize;
             let m = &mut self.members[l.0 as usize];
             m.swap_remove(p);
             if let Some(&moved) = m.get(p) {
-                self.slab[moved.slot as usize].pos[moved.k as usize] = p as u32;
+                self.slab[moved.key as usize].pos[moved.k as usize] = p as u32;
             }
             self.dirty.push(l.0);
         }
-        self.free.push(slot);
+        self.slab[slot].pos.clear();
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
@@ -843,7 +926,7 @@ impl RateAllocator for IncrementalMaxMin {
     }
 
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
-        let total_flows = ctx.flows.len();
+        let total_flows = ctx.live_flows;
         if self.dirty.is_empty() {
             ctx.scope.record(0, 0, total_flows);
             return;
@@ -859,17 +942,19 @@ impl RateAllocator for IncrementalMaxMin {
             ..
         } = self;
         problem.clear();
-        problem.extend(rows.iter().map(|&(_, p, d)| (p, d)));
+        problem.extend(rows.iter().map(|&(_, _, p, d)| (p, d)));
         rate.clear();
         rate.resize(problem.len(), 0.0);
         for g in bounds.windows(2) {
             let (a, b) = (g[0], g[1]);
             let (r, _) = solver.fill(ctx.links, ctx.paths, &problem[a..b]);
             rate[a..b].copy_from_slice(&r);
-            // Ids ascend within each group, so the gallop restarts per
-            // group.
-            ctx.flows
-                .set_rates_ascending(rows[a..b].iter().map(|&(id, _, _)| id), &rate[a..b]);
+        }
+        for (&(_, key, _, _), &r) in rows.iter().zip(rate.iter()) {
+            let f = ctx.flows[key as usize]
+                .as_mut()
+                .expect("rate writeback targets a live flow");
+            f.rate_bps = r;
         }
         // Aggregates refresh over ALL component links — including seeds
         // whose last flow just left, which must read as idle again. Every
@@ -1077,19 +1162,24 @@ mod tests {
         fn on_link_added(&mut self, link: LinkId) {
             self.inner.on_link_added(link);
         }
-        fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-            self.inner.on_flow_added(id, spec, path);
+        fn on_flow_added(&mut self, key: u64, spec: &FlowSpec, path: &[LinkId]) {
+            self.inner.on_flow_added(key, spec, path);
         }
-        fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-            self.inner.on_flow_removed(id, path);
+        fn on_flow_removed(&mut self, key: u64, path: &[LinkId]) {
+            self.inner.on_flow_removed(key, path);
         }
         fn on_link_changed(&mut self, link: LinkId) {
             self.inner.on_link_changed(link);
         }
         fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
-            self.inner.check_membership(ctx.paths);
+            let table: Vec<Option<(u64, PathId)>> = ctx
+                .flows
+                .iter()
+                .map(|f| f.as_ref().map(|f| (f.id(), f.spec().path)))
+                .collect();
+            self.inner.check_membership(ctx.paths, &table);
             self.inner.recompute(ctx);
-            self.inner.check_membership(ctx.paths);
+            self.inner.check_membership(ctx.paths, &table);
             self.checks
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
@@ -1212,11 +1302,13 @@ mod tests {
         };
         alloc.on_flow_added(0, &spec, paths.get(path));
         assert_eq!((alloc.members.len(), alloc.link_mark.len()), (21, 21));
-        alloc.check_membership(&paths);
+        alloc.check_membership(&paths, &[Some((0, path))]);
     }
 
-    /// Slab slots are reused: many add/remove cycles with a bounded number
-    /// of live flows never grow the slab past that bound.
+    /// Keys are slots of a flow table that reuses them last-freed first,
+    /// as the net's does: many add/remove cycles with a bounded number of
+    /// live flows never grow the slab past the table, nor the table past
+    /// that bound.
     #[test]
     fn slab_stays_within_peak_live_flows() {
         const MAX_LIVE: usize = 64;
@@ -1228,30 +1320,39 @@ mod tests {
         let path_ids: Vec<PathId> = (0..8u32)
             .map(|l| paths.intern(&[LinkId(l), LinkId((l + 3) % 8), LinkId(l)]))
             .collect();
-        let mut live: std::collections::VecDeque<(u64, PathId)> = Default::default();
+        // `table[key] = Some((id, path))` while the key is live.
+        let mut table: Vec<Option<(u64, PathId)>> = Vec::new();
+        let mut free: Vec<usize> = Vec::new();
+        let mut live: std::collections::VecDeque<usize> = Default::default();
         for id in 0..10_000u64 {
             if live.len() == MAX_LIVE || (id % 3 == 0 && !live.is_empty()) {
-                // Remove from the middle as well as the front so slots
+                // Remove from the middle as well as the front so keys
                 // free in scattered order.
-                let (gone, p) = live.remove((id as usize * 7) % live.len()).unwrap();
-                alloc.on_flow_removed(gone, paths.get(p));
+                let key = live.remove((id as usize * 7) % live.len()).unwrap();
+                let (_, p) = table[key].take().unwrap();
+                alloc.on_flow_removed(key as u64, paths.get(p));
+                free.push(key);
             }
             let p = path_ids[(id % 8) as usize];
+            let key = free.pop().unwrap_or_else(|| {
+                table.push(None);
+                table.len() - 1
+            });
+            table[key] = Some((id, p));
             let spec = FlowSpec {
                 path: p,
                 size_bits: 1.0,
                 demand_bps: 1.0,
                 tag: id,
             };
-            alloc.on_flow_added(id, &spec, paths.get(p));
-            live.push_back((id, p));
+            alloc.on_flow_added(key as u64, &spec, paths.get(p));
+            live.push_back(key);
             alloc.dirty.clear();
+            if id % 1000 == 0 {
+                alloc.check_membership(&paths, &table);
+            }
         }
-        alloc.check_membership(&paths);
-        assert!(
-            alloc.slab.len() <= MAX_LIVE,
-            "slab grew to {}",
-            alloc.slab.len()
-        );
+        alloc.check_membership(&paths, &table);
+        assert!(table.len() <= MAX_LIVE, "table grew to {}", table.len());
     }
 }

@@ -38,7 +38,7 @@
 //!   without simulating individual packets.
 
 use crate::alloc::{AllocCtx, AllocatorKind, HotSet, RateAllocator};
-use crate::arena::{Flow, FlowArena};
+use crate::arena::Flow;
 use crate::path::{PathId, PathInterner};
 use crate::probe::NetProbe;
 use crate::sketch::QuantileSketch;
@@ -50,9 +50,24 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub u32);
 
-/// Stable handle to a flow (valid until the flow completes or is killed).
+/// Handle to a flow: its slot in the net's flow table and its id.
+///
+/// Valid until the flow completes or is killed. The slot is then reused,
+/// but the id is not, so a stale handle finds no flow rather than the
+/// slot's next one. Handles order by id, i.e. by start order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct FlowHandle(pub u64);
+pub struct FlowHandle {
+    id: u64,
+    slot: u32,
+}
+
+impl FlowHandle {
+    /// The flow's id: the counter telemetry prints, unique over the net's
+    /// lifetime and increasing in start order.
+    pub fn id(self) -> u64 {
+        self.id
+    }
+}
 
 /// Description of a flow to inject into the network.
 #[derive(Clone, Copy, Debug)]
@@ -158,7 +173,10 @@ const QUEUE_RELAX_TAU_S: f64 = 0.05;
 /// ```
 pub struct FlowNet {
     links: Vec<LinkState>,
-    flows: FlowArena,
+    /// The flow table (see [`crate::arena`]): `None` marks a free slot.
+    flows: Vec<Option<Flow>>,
+    /// The free slots of `flows`, reused last-freed first.
+    free: Vec<u32>,
     paths: PathInterner,
     next_flow: u64,
     /// Time up to which all flow progress and queue integrals are applied.
@@ -206,7 +224,8 @@ impl FlowNet {
     pub fn with_allocator_box(allocator: Box<dyn RateAllocator>) -> Self {
         FlowNet {
             links: Vec::new(),
-            flows: FlowArena::new(),
+            flows: Vec::new(),
+            free: Vec::new(),
             paths: PathInterner::new(),
             next_flow: 0,
             clock: SimTime::ZERO,
@@ -374,7 +393,7 @@ impl FlowNet {
 
     /// Number of active flows.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.flows.len() - self.free.len()
     }
 
     /// Read-only view of a link's state.
@@ -430,17 +449,19 @@ impl FlowNet {
         self.integrate_to(now);
         let id = self.next_flow;
         self.next_flow += 1;
-        self.flows.insert(
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.flows.push(None);
+            u32::try_from(self.flows.len() - 1).expect("flow slots fit u32")
+        });
+        self.flows[slot as usize] = Some(Flow {
             id,
-            Flow {
-                remaining_bits: spec.size_bits,
-                rate_bps: 0.0,
-                started: now,
-                spec,
-            },
-        );
+            remaining_bits: spec.size_bits,
+            rate_bps: 0.0,
+            started: now,
+            spec,
+        });
         self.allocator
-            .on_flow_added(id, &spec, self.paths.get(spec.path));
+            .on_flow_added(slot.into(), &spec, self.paths.get(spec.path));
         self.rates_dirty = true;
         if let Some(p) = self.probe.as_mut() {
             let path_links = self.paths.get(spec.path).len() as u32;
@@ -468,71 +489,86 @@ impl FlowNet {
                 e.on_flow_start(spec.size_bits, spec.demand_bps, &views);
             }
         }
-        FlowHandle(id)
+        FlowHandle { id, slot }
+    }
+
+    /// The live flow `h` names, or `None` once it finished or was killed.
+    fn flow(&self, h: FlowHandle) -> Option<&Flow> {
+        let f = self.flows.get(h.slot as usize)?.as_ref()?;
+        (f.id == h.id).then_some(f)
     }
 
     /// Forcibly remove a flow (e.g. the job it belonged to crashed).
     /// Returns `true` if the flow was still active.
     pub fn kill_flow(&mut self, now: SimTime, h: FlowHandle) -> bool {
         self.integrate_to(now);
-        match self.flows.remove(h.0) {
-            Some(f) => {
-                self.allocator
-                    .on_flow_removed(h.0, self.paths.get(f.spec.path));
-                self.rates_dirty = true;
-                if let Some(p) = self.probe.as_mut() {
-                    p.flow_removed(now, h.0, None);
-                }
-                true
-            }
-            None => false,
+        let Some(path) = self.flow(h).map(|f| f.spec.path) else {
+            return false;
+        };
+        self.allocator
+            .on_flow_removed(h.slot.into(), self.paths.get(path));
+        self.flows[h.slot as usize] = None;
+        self.free.push(h.slot);
+        self.rates_dirty = true;
+        if let Some(p) = self.probe.as_mut() {
+            p.flow_removed(now, h.id, None);
         }
+        true
     }
 
     /// Current allocated rate of a flow (bits/s), or `None` if finished/killed.
     pub fn flow_rate(&mut self, h: FlowHandle) -> Option<f64> {
         self.recompute_if_dirty();
-        self.flows.get(h.0).map(|f| f.rate_bps)
+        self.flow(h).map(|f| f.rate_bps)
     }
 
     /// Remaining bits of a flow, or `None` if finished/killed.
     pub fn flow_remaining(&self, h: FlowHandle) -> Option<f64> {
-        self.flows.get(h.0).map(|f| f.remaining_bits)
+        self.flow(h).map(|f| f.remaining_bits)
     }
 
     /// Advance the model to `now`, applying flow progress and queue
-    /// integrals, and return the flows that completed (in deterministic
-    /// handle order). Completions are *detected* here, so drivers should
-    /// advance to the time reported by [`FlowNet::next_completion`].
+    /// integrals, and return the flows that completed, in id order.
+    /// Completions are *detected* here, so drivers should advance to the
+    /// time reported by [`FlowNet::next_completion`].
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
         self.integrate_to(now);
-        let mut done = Vec::new();
-        let (allocator, paths, probe, sketch) = (
-            &mut self.allocator,
-            &self.paths,
-            &mut self.probe,
-            &mut self.fct,
-        );
-        self.flows.remove_where(
-            |f| f.remaining_bits <= DONE_EPS_BITS,
-            |id, f| {
-                allocator.on_flow_removed(id, paths.get(f.spec.path));
+        let mut finished: Vec<FlowHandle> = self
+            .flows
+            .iter()
+            .zip(0u32..)
+            .filter_map(|(f, slot)| {
+                let f = f.as_ref()?;
+                (f.remaining_bits <= DONE_EPS_BITS).then_some(FlowHandle { id: f.id, slot })
+            })
+            .collect();
+        // Slot order is not id order once slots are reused.
+        finished.sort_unstable();
+        let done: Vec<Completion> = finished
+            .into_iter()
+            .map(|handle| {
+                let f = self.flows[handle.slot as usize]
+                    .take()
+                    .expect("a finished flow is live");
+                self.free.push(handle.slot);
+                self.allocator
+                    .on_flow_removed(handle.slot.into(), self.paths.get(f.spec.path));
                 // The one place a flow's completion time is measured: the
                 // sketch and the probe (hence telemetry) share this value.
                 let fct = now - f.started;
-                if let Some(p) = probe.as_mut() {
-                    p.flow_removed(now, id, Some(fct));
+                if let Some(p) = self.probe.as_mut() {
+                    p.flow_removed(now, f.id, Some(fct));
                 }
-                sketch.record(fct.as_secs_f64());
-                done.push(Completion {
-                    handle: FlowHandle(id),
+                self.fct.record(fct.as_secs_f64());
+                Completion {
+                    handle,
                     tag: f.spec.tag,
                     started: f.started,
                     finished: now,
                     size_bits: f.spec.size_bits,
-                });
-            },
-        );
+                }
+            })
+            .collect();
         self.rates_dirty |= !done.is_empty();
         done
     }
@@ -542,7 +578,7 @@ impl FlowNet {
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.recompute_if_dirty();
         let mut best: Option<f64> = None;
-        for (_, f) in self.flows.iter() {
+        for f in self.flows.iter().flatten() {
             if f.rate_bps > RATE_EPS {
                 let secs = f.remaining_bits / f.rate_bps;
                 best = Some(match best {
@@ -572,6 +608,7 @@ impl FlowNet {
     pub fn recompute_if_dirty(&mut self) {
         if self.rates_dirty {
             let before = self.scope;
+            let live_flows = self.flow_count();
             let FlowNet {
                 ref mut links,
                 ref mut flows,
@@ -583,6 +620,7 @@ impl FlowNet {
             } = *self;
             allocator.recompute(&mut AllocCtx {
                 flows,
+                live_flows,
                 links,
                 paths,
                 hot_links,
@@ -617,7 +655,7 @@ impl FlowNet {
         let dt = (now - self.clock).as_secs_f64();
         if dt > 0.0 {
             self.recompute_if_dirty();
-            for (_, f) in self.flows.iter_mut() {
+            for f in self.flows.iter_mut().flatten() {
                 if f.rate_bps > 0.0 {
                     f.remaining_bits = (f.remaining_bits - f.rate_bps * dt).max(0.0);
                 }
@@ -1178,6 +1216,111 @@ mod tests {
                 "{kind:?}: bursts did not batch ({b} vs {e} solves)"
             );
         }
+    }
+
+    /// Records the id of every flow the net reports leaving.
+    struct Removals(Arc<Mutex<Vec<u64>>>);
+
+    impl NetProbe for Removals {
+        fn flow_removed(&mut self, _: SimTime, flow: u64, _: Option<SimDuration>) {
+            self.0.lock().unwrap().push(flow);
+        }
+    }
+
+    /// Freed slots are reused last-freed first, so later flows take lower
+    /// slots than earlier ones. Flows that then complete at one instant
+    /// must still leave in id order, to the caller, the probe and the
+    /// allocator alike, and a dense/incremental pair stays bitwise equal.
+    #[test]
+    fn completions_leave_in_id_order_when_slots_are_reused() {
+        let removed = [(); 2].map(|_| Arc::new(Mutex::new(Vec::new())));
+        let mut nets =
+            [AllocatorKind::Dense, AllocatorKind::Incremental].map(FlowNet::with_allocator);
+        for (net, log) in nets.iter_mut().zip(&removed) {
+            net.set_probe(Some(Box::new(Removals(log.clone()))));
+        }
+        let [dense, incr] = &mut nets;
+        // Flow i crosses its own link, then one shared 100G link.
+        let caps = [30.0, 30.0, 45.0, 60.0, 35.0, 50.0];
+        let shared = dense.add_link(100.0 * GBPS, 1e11);
+        assert_eq!(incr.add_link(100.0 * GBPS, 1e11), shared);
+        let own: Vec<LinkId> = caps
+            .iter()
+            .map(|&c| {
+                let l = dense.add_link(c * GBPS, 1e11);
+                assert_eq!(incr.add_link(c * GBPS, 1e11), l);
+                l
+            })
+            .collect();
+        let start = |dense: &mut FlowNet, incr: &mut FlowNet, t, i: usize, size| {
+            let s = spec(dense, &[own[i], shared], size, f64::INFINITY, i as u64);
+            let h = dense.start_flow(t, s);
+            let s = spec(incr, &[own[i], shared], size, f64::INFINITY, i as u64);
+            assert_eq!(incr.start_flow(t, s), h);
+            h
+        };
+        let mut hs = Vec::new();
+        for (i, size) in [1e9, 1e9, 1e12, 1e12].into_iter().enumerate() {
+            hs.push(start(dense, incr, SimTime::ZERO, i, size));
+        }
+        assert_nets_bitwise_equal(dense, incr, &hs, "four flows");
+        // The two short flows finish; their slots free in id order.
+        let mut t = SimTime::ZERO;
+        while dense.flow_count() > 2 {
+            t = dense.next_completion().expect("short flows progress");
+            let done: Vec<u64> = dense.advance(t).iter().map(|c| c.handle.id()).collect();
+            let twin: Vec<u64> = incr.advance(t).iter().map(|c| c.handle.id()).collect();
+            assert_eq!(done, twin);
+        }
+        assert_nets_bitwise_equal(dense, incr, &hs[2..], "short flows done");
+        // The last-freed slot goes first: later ids take lower slots.
+        let h4 = start(dense, incr, t, 4, 2e11);
+        let h5 = start(dense, incr, t, 5, 3e11);
+        assert_eq!((h4.slot, h5.slot), (1, 0));
+        let live = [hs[2], hs[3], h4, h5];
+        assert_nets_bitwise_equal(dense, incr, &live, "slots reused");
+        // Everything left finishes within the step, so completes at once.
+        let t = t + SimDuration::from_secs(1000);
+        for net in [&mut *dense, &mut *incr] {
+            let ids: Vec<u64> = net.advance(t).iter().map(|c| c.handle.id()).collect();
+            assert_eq!(ids, [2, 3, 4, 5], "completions in id order");
+        }
+        for log in &removed {
+            assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3, 4, 5], "probe order");
+        }
+        assert_nets_bitwise_equal(dense, incr, &live, "all done");
+        // The freed slots serve a new round, which still agrees.
+        let again: Vec<FlowHandle> = (0..4).map(|i| start(dense, incr, t, i, 5e10)).collect();
+        assert_nets_bitwise_equal(dense, incr, &again, "second round");
+    }
+
+    /// A handle whose flow is gone finds nothing, even when its slot
+    /// already holds the next flow.
+    #[test]
+    fn a_stale_handle_never_reaches_its_slots_next_flow() {
+        let (mut net, l) = net_with_links(&[100.0 * GBPS]);
+        let s = spec(&mut net, &l, 100.0 * GBPS, f64::INFINITY, 0);
+        let killed = net.start_flow(SimTime::ZERO, s);
+        assert!(net.kill_flow(SimTime::ZERO, killed));
+        let next = net.start_flow(SimTime::ZERO, FlowSpec { tag: 1, ..s });
+        assert_eq!(next.slot, killed.slot, "the slot is reused");
+        let t = SimTime::from_millis(100);
+        assert!(!net.kill_flow(t, killed));
+        assert_eq!(net.flow_remaining(killed), None);
+        assert_eq!(net.flow_rate(killed), None);
+        assert_eq!(net.flow_count(), 1);
+        assert_eq!(net.flow_rate(next), Some(100.0 * GBPS));
+        let left = net.flow_remaining(next).expect("the new flow is live");
+        assert!((left - 90.0 * GBPS).abs() < 1e3, "remaining {left}");
+        // A completed flow's handle goes stale the same way.
+        let t = net.next_completion().unwrap();
+        let done = net.advance(t);
+        assert_eq!((done[0].handle, done[0].tag), (next, 1));
+        let third = net.start_flow(net.clock(), FlowSpec { tag: 2, ..s });
+        assert_eq!(third.slot, next.slot);
+        assert!(!net.kill_flow(net.clock(), next));
+        assert_eq!(net.flow_remaining(next), None);
+        assert_eq!(net.flow_remaining(third), Some(100.0 * GBPS));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod time;
 pub mod units;
 
 pub use alloc::{AllocatorKind, RateAllocator};
-pub use arena::{Flow, FlowArena};
+pub use arena::Flow;
 pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState};
 pub use path::{PathId, PathInterner, PathSet};
 pub use probe::NetProbe;

@@ -17,7 +17,7 @@ use crate::time::{SimDuration, SimTime};
 /// All methods have empty default bodies so implementors subscribe only to
 /// what they need.
 pub trait NetProbe {
-    /// A flow was injected (`flow` is the [`crate::FlowHandle`] counter).
+    /// A flow was injected (`flow` is its id, [`crate::FlowHandle::id`]).
     fn flow_added(&mut self, _t: SimTime, _flow: u64, _path_links: u32, _size_bits: f64) {}
 
     /// A flow left the net. `fct` is `Some(completion time)` for a natural

@@ -9,7 +9,7 @@
 use hpn_sim::SimTime;
 
 /// One telemetry event. Integer ids are the simulator's own handles:
-/// `flow` is the [`hpn_sim::FlowHandle`] counter, `link` a
+/// `flow` is a flow's id ([`hpn_sim::FlowHandle::id`]), `link` a
 /// [`hpn_sim::LinkId`] index into the fluid net, `rlink` a routing-layer
 /// [`hpn_topology` `LinkIdx`] index, `conn`/`job` the transport/collective
 /// indices.
