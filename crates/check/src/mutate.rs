@@ -80,9 +80,11 @@ impl RateAllocator for MutantAlloc {
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
         self.inner.recompute(ctx);
         if let Mutation::RateOvershoot = self.mutation {
-            if let Some(f) = ctx.flows.iter_mut().flatten().min_by_key(|f| f.id()) {
-                let r = f.rate_bps();
-                f.set_rate_bps(r * 1.05 + 1.0);
+            let oldest = (0..ctx.flows.len())
+                .filter_map(|key| Some((ctx.flows[key].as_ref()?.id(), key)))
+                .min();
+            if let Some((_, key)) = oldest {
+                ctx.rates[key] = ctx.rates[key] * 1.05 + 1.0;
             }
         }
     }

@@ -19,8 +19,10 @@
 //!   cable events, its workload iterated.
 //!   Iteration records must be time-monotonic with finite throughput, the
 //!   telemetry stream must be sim-time monotonic per segment, flow
-//!   add/remove events must balance against the surviving flow count, and
-//!   the fluid net must end capacity-conserving.
+//!   add/remove events must balance against the surviving flow count,
+//!   messages must be conserved (every message sent has completed, or is
+//!   stalled, on the wire, or due for delivery), and the fluid net must
+//!   end capacity-conserving.
 //!
 //! Every violation is reported as a [`Failure`] whose `invariant` name is
 //! stable — the shrinker uses it to preserve the bug class while
@@ -675,6 +677,10 @@ fn build_and_run(sc: &Scenario, ctx: &SimCtx) -> Result<(usize, usize, LatencyTr
             }
         }
     }
+
+    // Every message sent completed or can still complete.
+    cs.audit_messages()
+        .map_err(|e| fail("message_conservation", format!("[session] {e}")))?;
 
     // Final capacity conservation over the session's own fluid net.
     cs.net.recompute_if_dirty();

@@ -28,14 +28,20 @@
 //! summation order and leave the two implementations agreeing only to
 //! ~ulp; identical per-component arithmetic makes their rates **bitwise
 //! equal**, so figures regenerate byte-identically under either allocator.
+//! The `ComponentFill` owns the fill's scratch and reuses it for every
+//! component, and a fill writes its rates into the caller's slice of one
+//! rate buffer, so a solve allocates nothing per component.
 //!
 //! The net names each flow to its allocator by **key**: the flow's slot in
 //! the net's flow table (see [`crate::arena`]). A key is unique among live
 //! flows and reused after removal, so [`IncrementalMaxMin`] keeps its
 //! per-flow records in a slab indexed by the key, with no map in between,
-//! and both allocators write rates back with indexed stores. Keys are not
-//! in id order; the net adds flows in id order, so each allocator numbers
-//! them on arrival and orders its rows by that number.
+//! and both allocators write rates with indexed stores into the net's
+//! dense rate array, [`AllocCtx::rates`]. Keys are not in id order; the
+//! net adds flows in id order, so each allocator numbers them on arrival
+//! and orders its rows by that number. Each flow event seeds the links of
+//! its path, and [`IncrementalMaxMin`] stamps a seeded link so the next
+//! closure's seed list holds it once.
 //!
 //! Every recompute records how much it touched in a
 //! [`crate::stats::RecomputeScope`], making the incremental win observable
@@ -167,8 +173,10 @@ impl HotSet {
 /// the rest of it.
 pub struct AllocCtx<'a> {
     /// The net's flow table, indexed by key; `None` marks a free slot.
-    /// Allocators write rates back through this.
-    pub flows: &'a mut [Option<Flow>],
+    pub flows: &'a [Option<Flow>],
+    /// The flows' rates in bits/s, indexed by key like `flows`; a free
+    /// slot's entry is 0. Allocators write the rates they solve here.
+    pub rates: &'a mut [f64],
     /// Number of live flows in `flows`.
     pub live_flows: usize,
     /// Per-link state; capacities are read, aggregates written.
@@ -255,31 +263,40 @@ pub trait RateAllocator: Send {
 
 /// Shared core: progressive filling over one set of flows.
 ///
-/// `flows` lists (dense-index, path, demand) for the flows to fill, in
-/// ascending flow-id order (determinism). `rate` is indexed by the same
-/// dense index. `free`/`unfrozen_on` are per-link scratch sized to the link
-/// table and zeroed outside the `touched` links; `touched` collects every
-/// link the fill used so the caller can sparsely reset the scratch and
-/// refresh aggregates.
+/// `flows` lists (path, demand) for the flows to fill, in ascending
+/// flow-id order (determinism), and `rate` receives their rates, indexed
+/// alike. `free`/`unfrozen_on` are per-link scratch sized to the link table
+/// and zeroed outside the links of the fill under way. `active_links` and
+/// `unfrozen_list` are per-fill scratch, cleared on entry; after a fill
+/// `active_links` lists every link it used, so the caller can refresh
+/// aggregates. All four belong to a [`ComponentFill`] and keep their
+/// capacity, so a solve allocates nothing per component once they have
+/// grown.
 struct Fill<'a> {
     links: &'a [LinkState],
     paths: &'a PathInterner,
     free: &'a mut Vec<f64>,
     unfrozen_on: &'a mut Vec<u32>,
+    active_links: &'a mut Vec<usize>,
+    unfrozen_list: &'a mut Vec<usize>,
 }
 
 impl Fill<'_> {
-    /// Run progressive filling. `flows[i] = (path, demand)`; returns rates
-    /// per flow plus the set of links touched (in first-crossed order).
-    fn run(&mut self, flows: &[(PathId, f64)]) -> (Vec<f64>, Vec<usize>) {
-        let n = flows.len();
+    /// Run progressive filling: `flows[i] = (path, demand)`, and `rate[i]`
+    /// receives flow `i`'s rate. Leaves the links it used, in first-crossed
+    /// order, in `active_links`.
+    fn run(&mut self, flows: &[(PathId, f64)], rate: &mut [f64]) {
+        debug_assert_eq!(flows.len(), rate.len());
         let nlinks = self.links.len();
         self.free.resize(nlinks, 0.0);
         self.unfrozen_on.resize(nlinks, 0);
-        let free = &mut *self.free;
-        let unfrozen_on = &mut *self.unfrozen_on;
-        let mut rate = vec![0.0f64; n];
-        let mut active_links: Vec<usize> = Vec::new();
+        let free = &mut self.free[..];
+        let unfrozen_on = &mut self.unfrozen_on[..];
+        let active_links = &mut *self.active_links;
+        let unfrozen_list = &mut *self.unfrozen_list;
+        active_links.clear();
+        unfrozen_list.clear();
+        rate.fill(0.0);
         for &(path, _) in flows {
             for l in self.paths.get(path) {
                 let li = l.0 as usize;
@@ -291,7 +308,7 @@ impl Fill<'_> {
             }
         }
 
-        let mut unfrozen_list: Vec<usize> = (0..n).collect();
+        unfrozen_list.extend(0..flows.len());
         let paths = self.paths;
         let freeze = |i: usize, unfrozen_on: &mut [u32]| {
             for l in paths.get(flows[i].0) {
@@ -315,12 +332,12 @@ impl Fill<'_> {
             // The common increment: bounded by the tightest link fair
             // share and the smallest remaining demand headroom.
             let mut delta = f64::INFINITY;
-            for &li in &active_links {
+            for &li in active_links.iter() {
                 if unfrozen_on[li] > 0 {
                     delta = delta.min(free[li] / unfrozen_on[li] as f64);
                 }
             }
-            for &i in &unfrozen_list {
+            for &i in unfrozen_list.iter() {
                 delta = delta.min(flows[i].1 - rate[i]);
             }
             if !delta.is_finite() {
@@ -331,10 +348,10 @@ impl Fill<'_> {
             }
             let delta = delta.max(0.0);
             // Apply the increment.
-            for &i in &unfrozen_list {
+            for &i in unfrozen_list.iter() {
                 rate[i] += delta;
             }
-            for &li in &active_links {
+            for &li in active_links.iter() {
                 free[li] -= delta * unfrozen_on[li] as f64;
             }
             // Freeze flows on saturated links and flows at demand.
@@ -376,12 +393,11 @@ impl Fill<'_> {
             }
         }
 
-        // Reset the scratch sparsely for the next recompute.
-        for &li in &active_links {
+        // Reset the scratch sparsely for the next fill.
+        for &li in active_links.iter() {
             free[li] = 0.0;
             unfrozen_on[li] = 0;
         }
-        (rate, active_links)
     }
 }
 
@@ -414,10 +430,14 @@ fn uf_find(parent: &mut [u32], stamp: &mut [u64], epoch: u64, x: u32) -> u32 {
 /// Both allocators route through this, which is what makes their results
 /// bitwise identical: a component's filling arithmetic sees exactly the
 /// same operands in the same order no matter which flows outside it exist.
+/// It owns the fill's scratch, so one instance serves every component of
+/// every solve.
 #[derive(Default)]
 struct ComponentFill {
     free: Vec<f64>,
     unfrozen_on: Vec<u32>,
+    active_links: Vec<usize>,
+    unfrozen_list: Vec<usize>,
     uf_parent: Vec<u32>,
     uf_stamp: Vec<u64>,
     epoch: u64,
@@ -426,14 +446,17 @@ struct ComponentFill {
 impl ComponentFill {
     /// Partition `flows` into connected components of the flow↔link
     /// sharing graph and fill each one. `flows[i] = (path, demand)` in
-    /// ascending flow-id order (preserved within each component). Returns
-    /// rates per flow plus every link used.
+    /// ascending flow-id order (preserved within each component); `rate[i]`
+    /// receives flow `i`'s rate, and every link used is appended to
+    /// `touched`.
     fn run(
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
         flows: &[(PathId, f64)],
-    ) -> (Vec<f64>, Vec<usize>) {
+        rate: &mut [f64],
+        touched: &mut Vec<usize>,
+    ) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.uf_parent.resize(links.len(), 0);
@@ -461,37 +484,39 @@ impl ComponentFill {
             groups[gi].push(i);
         }
 
-        let mut rate = vec![0.0f64; flows.len()];
-        let mut all_links: Vec<usize> = Vec::new();
         let mut comp: Vec<(PathId, f64)> = Vec::new();
+        let mut comp_rate: Vec<f64> = Vec::new();
         for idxs in &groups {
             comp.clear();
             comp.extend(idxs.iter().map(|&i| flows[i]));
-            let (r, active) = self.fill(links, paths, &comp);
-            for (&i, &ri) in idxs.iter().zip(r.iter()) {
+            comp_rate.resize(comp.len(), 0.0);
+            self.fill(links, paths, &comp, &mut comp_rate);
+            for (&i, &ri) in idxs.iter().zip(comp_rate.iter()) {
                 rate[i] = ri;
             }
-            all_links.extend(active);
+            touched.extend_from_slice(&self.active_links);
         }
-        (rate, all_links)
     }
 
     /// Fill one pre-isolated component (all `flows` share one true
-    /// component) with this solver's scratch, returning its rates and the
-    /// links it used.
+    /// component) with this solver's scratch, writing its rates into
+    /// `rate`. The links it used are left in `self.active_links`.
     fn fill(
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
         flows: &[(PathId, f64)],
-    ) -> (Vec<f64>, Vec<usize>) {
+        rate: &mut [f64],
+    ) {
         Fill {
             links,
             paths,
             free: &mut self.free,
             unfrozen_on: &mut self.unfrozen_on,
+            active_links: &mut self.active_links,
+            unfrozen_list: &mut self.unfrozen_list,
         }
-        .run(flows)
+        .run(flows, rate);
     }
 }
 
@@ -619,18 +644,22 @@ impl RateAllocator for DenseMaxMin {
                 .expect("a keyed flow is live");
             self.scratch_flows.push((f.spec.path, f.spec.demand_bps));
         }
-        let (rate, active_links) = self.solver.run(ctx.links, ctx.paths, &self.scratch_flows);
+        let mut rate = vec![0.0f64; self.scratch_flows.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        self.solver.run(
+            ctx.links,
+            ctx.paths,
+            &self.scratch_flows,
+            &mut rate,
+            &mut touched,
+        );
 
         for (&key, &r) in self.order.values().zip(rate.iter()) {
-            ctx.flows[key as usize]
-                .as_mut()
-                .expect("a keyed flow is live")
-                .rate_bps = r;
+            ctx.rates[key as usize] = r;
         }
         // Zero stats on every link that was active before this recompute
         // too (it may have just lost its last flow): the old hot set covers
         // exactly those.
-        let mut touched: Vec<usize> = active_links;
         touched.extend(ctx.hot_links.as_slice().iter().map(|&l| l as usize));
         touched.sort_unstable();
         touched.dedup();
@@ -693,8 +722,13 @@ pub struct IncrementalMaxMin {
     /// Like `link_mark`, it covers only the links up to the highest one a
     /// flow or a link change has named (see [`IncrementalMaxMin::cover`]).
     members: Vec<Vec<Member>>,
-    /// Links perturbed since the last recompute (seeds; may repeat).
+    /// Links perturbed since the last recompute (seeds), each listed once.
     dirty: Vec<u32>,
+    /// Per link: `epoch + 1` while the link is listed in `dirty`, i.e.
+    /// stamped with the epoch of the closure that will drain it. Adding a
+    /// flow or removing one seeds every link of its path, so without the
+    /// stamp a busy link would be listed once per flow event.
+    dirty_mark: Vec<u64>,
     /// BFS visit stamps per link, keyed by epoch (no per-event clearing);
     /// flows carry theirs in [`FlowRec::mark`].
     link_mark: Vec<u64>,
@@ -788,7 +822,8 @@ impl IncrementalMaxMin {
         dirty.clear();
     }
 
-    /// Grow the per-link tables (`members`, `link_mark`) to cover `link`.
+    /// Grow the per-link tables (`members`, `link_mark`, `dirty_mark`) to
+    /// cover `link`.
     /// They grow on first use rather than per `add_link`, so setting up a
     /// large net that is never run (or runs on a few of its links) costs
     /// no allocator memory; every dirty seed and every member's link is
@@ -798,6 +833,17 @@ impl IncrementalMaxMin {
         if self.members.len() < n {
             self.members.resize_with(n, Vec::new);
             self.link_mark.resize(n, 0);
+            self.dirty_mark.resize(n, 0);
+        }
+    }
+
+    /// List a covered link as a seed of the next closure, once.
+    fn mark_dirty(&mut self, link: u32) {
+        let next = self.epoch + 1;
+        let mark = &mut self.dirty_mark[link as usize];
+        if *mark != next {
+            *mark = next;
+            self.dirty.push(link);
         }
     }
 
@@ -882,7 +928,7 @@ impl RateAllocator for IncrementalMaxMin {
                 key: k32,
                 k: k as u32,
             });
-            self.dirty.push(l.0);
+            self.mark_dirty(l.0);
         }
         // Epochs start at 1, so mark 0 is never the current closure's.
         let rec = FlowRec {
@@ -915,14 +961,14 @@ impl RateAllocator for IncrementalMaxMin {
             if let Some(&moved) = m.get(p) {
                 self.slab[moved.key as usize].pos[moved.k as usize] = p as u32;
             }
-            self.dirty.push(l.0);
+            self.mark_dirty(l.0);
         }
         self.slab[slot].pos.clear();
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
         self.cover(link);
-        self.dirty.push(link.0);
+        self.mark_dirty(link.0);
     }
 
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
@@ -943,18 +989,13 @@ impl RateAllocator for IncrementalMaxMin {
         } = self;
         problem.clear();
         problem.extend(rows.iter().map(|&(_, _, p, d)| (p, d)));
-        rate.clear();
         rate.resize(problem.len(), 0.0);
         for g in bounds.windows(2) {
             let (a, b) = (g[0], g[1]);
-            let (r, _) = solver.fill(ctx.links, ctx.paths, &problem[a..b]);
-            rate[a..b].copy_from_slice(&r);
+            solver.fill(ctx.links, ctx.paths, &problem[a..b], &mut rate[a..b]);
         }
         for (&(_, key, _, _), &r) in rows.iter().zip(rate.iter()) {
-            let f = ctx.flows[key as usize]
-                .as_mut()
-                .expect("rate writeback targets a live flow");
-            f.rate_bps = r;
+            ctx.rates[key as usize] = r;
         }
         // Aggregates refresh over ALL component links — including seeds
         // whose last flow just left, which must read as idle again. Every
@@ -1291,8 +1332,10 @@ mod tests {
             alloc.on_link_added(LinkId(l));
         }
         assert!(alloc.members.is_empty() && alloc.link_mark.is_empty());
+        assert!(alloc.dirty_mark.is_empty());
         alloc.on_link_changed(LinkId(7));
         assert_eq!((alloc.members.len(), alloc.link_mark.len()), (8, 8));
+        assert_eq!(alloc.dirty_mark.len(), 8);
         let path = paths.intern(&[LinkId(3), LinkId(20)]);
         let spec = FlowSpec {
             path,

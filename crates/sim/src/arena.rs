@@ -8,6 +8,13 @@
 //! back with plain indexed stores. Slots are reused, so the table never
 //! holds more entries than the peak live-flow count.
 //!
+//! A `Flow` holds only what never changes while the flow runs: its id,
+//! spec and start instant. The two numbers that change every instant, the
+//! allocated rate and the bits not yet delivered, live beside the table in
+//! two dense `f64` arrays indexed by the same slot (a free slot holds rate
+//! 0), so integration and the completion-time scan read 16 bytes per slot
+//! and allocators write rates into a plain `&mut [f64]`.
+//!
 //! Slot order is not flow order. Each flow also carries its `id`, a
 //! monotone counter that is never reused: telemetry prints it, handles
 //! check it so a stale handle never reaches the slot's next flow, and
@@ -17,13 +24,11 @@
 use crate::flownet::FlowSpec;
 use crate::time::SimTime;
 
-/// An active flow: its spec plus mutable progress state.
+/// An active flow: its id, spec and start instant.
 #[derive(Clone, Debug)]
 pub struct Flow {
     pub(crate) id: u64,
     pub(crate) spec: FlowSpec,
-    pub(crate) remaining_bits: f64,
-    pub(crate) rate_bps: f64,
     pub(crate) started: SimTime,
 }
 
@@ -37,21 +42,6 @@ impl Flow {
     /// The immutable spec the flow was injected with.
     pub fn spec(&self) -> &FlowSpec {
         &self.spec
-    }
-
-    /// Currently allocated rate in bits/s.
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
-    /// Set the allocated rate; called by rate allocators on recompute.
-    pub fn set_rate_bps(&mut self, rate: f64) {
-        self.rate_bps = rate;
-    }
-
-    /// Bits not yet delivered.
-    pub fn remaining_bits(&self) -> f64 {
-        self.remaining_bits
     }
 
     /// Injection instant.

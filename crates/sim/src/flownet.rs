@@ -175,8 +175,17 @@ pub struct FlowNet {
     links: Vec<LinkState>,
     /// The flow table (see [`crate::arena`]): `None` marks a free slot.
     flows: Vec<Option<Flow>>,
+    /// Per slot of `flows`: the allocated rate in bits/s (0 at a free slot)
+    /// and the bits not yet delivered.
+    rate: Vec<f64>,
+    remaining: Vec<f64>,
     /// The free slots of `flows`, reused last-freed first.
     free: Vec<u32>,
+    /// Flows seen at or below [`DONE_EPS_BITS`] since the last `advance`,
+    /// which removes them: integration pushes each flow it brings there,
+    /// and `start_flow` a flow that starts there. Entries may repeat or
+    /// name a flow killed since; `advance` drops those.
+    finished: Vec<FlowHandle>,
     paths: PathInterner,
     next_flow: u64,
     /// Time up to which all flow progress and queue integrals are applied.
@@ -225,7 +234,10 @@ impl FlowNet {
         FlowNet {
             links: Vec::new(),
             flows: Vec::new(),
+            rate: Vec::new(),
+            remaining: Vec::new(),
             free: Vec::new(),
+            finished: Vec::new(),
             paths: PathInterner::new(),
             next_flow: 0,
             clock: SimTime::ZERO,
@@ -451,15 +463,19 @@ impl FlowNet {
         self.next_flow += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
             self.flows.push(None);
+            self.rate.push(0.0);
+            self.remaining.push(0.0);
             u32::try_from(self.flows.len() - 1).expect("flow slots fit u32")
         });
         self.flows[slot as usize] = Some(Flow {
             id,
-            remaining_bits: spec.size_bits,
-            rate_bps: 0.0,
             started: now,
             spec,
         });
+        self.remaining[slot as usize] = spec.size_bits;
+        if spec.size_bits <= DONE_EPS_BITS {
+            self.finished.push(FlowHandle { id, slot });
+        }
         self.allocator
             .on_flow_added(slot.into(), &spec, self.paths.get(spec.path));
         self.rates_dirty = true;
@@ -507,8 +523,7 @@ impl FlowNet {
         };
         self.allocator
             .on_flow_removed(h.slot.into(), self.paths.get(path));
-        self.flows[h.slot as usize] = None;
-        self.free.push(h.slot);
+        self.release(h.slot);
         self.rates_dirty = true;
         if let Some(p) = self.probe.as_mut() {
             p.flow_removed(now, h.id, None);
@@ -516,41 +531,43 @@ impl FlowNet {
         true
     }
 
+    /// Free a flow's slot: its entry and its rate go, and the slot is
+    /// next in line for reuse.
+    fn release(&mut self, slot: u32) -> Option<Flow> {
+        self.rate[slot as usize] = 0.0;
+        self.free.push(slot);
+        self.flows[slot as usize].take()
+    }
+
     /// Current allocated rate of a flow (bits/s), or `None` if finished/killed.
     pub fn flow_rate(&mut self, h: FlowHandle) -> Option<f64> {
         self.recompute_if_dirty();
-        self.flow(h).map(|f| f.rate_bps)
+        self.flow(h).map(|_| self.rate[h.slot as usize])
     }
 
     /// Remaining bits of a flow, or `None` if finished/killed.
     pub fn flow_remaining(&self, h: FlowHandle) -> Option<f64> {
-        self.flow(h).map(|f| f.remaining_bits)
+        self.flow(h).map(|_| self.remaining[h.slot as usize])
     }
 
     /// Advance the model to `now`, applying flow progress and queue
     /// integrals, and return the flows that completed, in id order.
     /// Completions are *detected* here, so drivers should advance to the
-    /// time reported by [`FlowNet::next_completion`].
+    /// time reported by [`FlowNet::next_completion`]. Integration lists
+    /// each flow it brings within a rounding residue of done, so this
+    /// removes the listed flows without scanning the table.
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
         self.integrate_to(now);
-        let mut finished: Vec<FlowHandle> = self
-            .flows
-            .iter()
-            .zip(0u32..)
-            .filter_map(|(f, slot)| {
-                let f = f.as_ref()?;
-                (f.remaining_bits <= DONE_EPS_BITS).then_some(FlowHandle { id: f.id, slot })
-            })
-            .collect();
-        // Slot order is not id order once slots are reused.
+        let mut finished = std::mem::take(&mut self.finished);
+        // Drop flows killed since they were listed, then list each once,
+        // in id order: slot order is not id order once slots are reused.
+        finished.retain(|&h| self.flow(h).is_some());
         finished.sort_unstable();
+        finished.dedup();
         let done: Vec<Completion> = finished
             .into_iter()
             .map(|handle| {
-                let f = self.flows[handle.slot as usize]
-                    .take()
-                    .expect("a finished flow is live");
-                self.free.push(handle.slot);
+                let f = self.release(handle.slot).expect("a finished flow is live");
                 self.allocator
                     .on_flow_removed(handle.slot.into(), self.paths.get(f.spec.path));
                 // The one place a flow's completion time is measured: the
@@ -578,9 +595,9 @@ impl FlowNet {
     pub fn next_completion(&mut self) -> Option<SimTime> {
         self.recompute_if_dirty();
         let mut best: Option<f64> = None;
-        for f in self.flows.iter().flatten() {
-            if f.rate_bps > RATE_EPS {
-                let secs = f.remaining_bits / f.rate_bps;
+        for (&rate, &remaining) in self.rate.iter().zip(&self.remaining) {
+            if rate > RATE_EPS {
+                let secs = remaining / rate;
                 best = Some(match best {
                     Some(b) => b.min(secs),
                     None => secs,
@@ -611,7 +628,8 @@ impl FlowNet {
             let live_flows = self.flow_count();
             let FlowNet {
                 ref mut links,
-                ref mut flows,
+                ref flows,
+                ref mut rate,
                 ref paths,
                 ref mut hot_links,
                 ref mut allocator,
@@ -620,6 +638,7 @@ impl FlowNet {
             } = *self;
             allocator.recompute(&mut AllocCtx {
                 flows,
+                rates: rate,
                 live_flows,
                 links,
                 paths,
@@ -655,9 +674,15 @@ impl FlowNet {
         let dt = (now - self.clock).as_secs_f64();
         if dt > 0.0 {
             self.recompute_if_dirty();
-            for f in self.flows.iter_mut().flatten() {
-                if f.rate_bps > 0.0 {
-                    f.remaining_bits = (f.remaining_bits - f.rate_bps * dt).max(0.0);
+            let rates = self.rate.iter().zip(self.remaining.iter_mut());
+            for (slot, (&rate, remaining)) in (0u32..).zip(rates) {
+                if rate > 0.0 {
+                    *remaining = (*remaining - rate * dt).max(0.0);
+                    if *remaining <= DONE_EPS_BITS {
+                        if let Some(f) = &self.flows[slot as usize] {
+                            self.finished.push(FlowHandle { id: f.id, slot });
+                        }
+                    }
                 }
             }
             // Only hot links can change: idle links have zero rate, zero
@@ -1292,6 +1317,120 @@ mod tests {
         // The freed slots serve a new round, which still agrees.
         let again: Vec<FlowHandle> = (0..4).map(|i| start(dense, incr, t, i, 5e10)).collect();
         assert_nets_bitwise_equal(dense, incr, &again, "second round");
+    }
+
+    /// The live flows at or below `DONE_EPS_BITS`, in id order, found by a
+    /// full scan of the table: what `advance` must remove.
+    fn finished_by_scan(net: &FlowNet) -> Vec<FlowHandle> {
+        let mut done: Vec<FlowHandle> = (0u32..)
+            .zip(&net.flows)
+            .filter_map(|(slot, f)| {
+                let id = f.as_ref()?.id;
+                (net.remaining[slot as usize] <= DONE_EPS_BITS).then_some(FlowHandle { id, slot })
+            })
+            .collect();
+        done.sort_unstable();
+        done
+    }
+
+    /// `advance` removes the flows integration listed, not the ones a scan
+    /// of the table finds; the two must agree. Seeded churn through a
+    /// dense/incremental pair: flows too small to need any progress,
+    /// starts and kills at a later instant (which integrate) followed by
+    /// more of them and then an `advance` at that instant, kills of flows
+    /// already listed, and slots reused out of id order. Before every
+    /// `advance` the scan is taken at the advance's instant, and the
+    /// completions must equal it, in id order, on both nets.
+    #[test]
+    fn finished_list_matches_a_full_scan() {
+        use crate::rng::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0xf1a5);
+        let mut nets =
+            [AllocatorKind::Dense, AllocatorKind::Incremental].map(FlowNet::with_allocator);
+        let links: Vec<LinkId> = (0..10)
+            .map(|i| {
+                let cap = (40.0 + 15.0 * (i % 4) as f64) * GBPS;
+                let l = nets[0].add_link(cap, 1e11);
+                assert_eq!(nets[1].add_link(cap, 1e11), l);
+                l
+            })
+            .collect();
+        let mut live: Vec<FlowHandle> = Vec::new();
+        let mut t = SimTime::ZERO;
+        let (mut tiny, mut later, mut listed_kills, mut reused, mut completions) = (0, 0, 0, 0, 0);
+        for step in 0..400 {
+            // Sometimes the burst runs at a later instant than the last
+            // advance, so its starts and kills integrate first.
+            if rng.chance(0.4) {
+                t += SimDuration::from_micros(1 + rng.next_below(100_000));
+                later += 1;
+            }
+            for _ in 0..1 + rng.next_below(6) {
+                if rng.chance(0.25) && !live.is_empty() {
+                    let h = live.swap_remove(rng.next_below(live.len() as u64) as usize);
+                    listed_kills += usize::from(nets[0].finished.contains(&h));
+                    for net in &mut nets {
+                        assert!(net.kill_flow(t, h));
+                    }
+                    continue;
+                }
+                let hops = 1 + rng.next_below(3) as usize;
+                let path: Vec<LinkId> = (0..hops).map(|_| *rng.choose(&links)).collect();
+                let size = if rng.chance(0.15) {
+                    tiny += 1;
+                    DONE_EPS_BITS * rng.uniform(0.01, 1.0)
+                } else {
+                    rng.uniform(0.01, 5.0) * GBPS
+                };
+                let demand = rng.uniform(10.0, 120.0) * GBPS;
+                let [a, b] = &mut nets;
+                let s = spec(a, &path, size, demand, step);
+                let h = a.start_flow(t, s);
+                let s = spec(b, &path, size, demand, step);
+                assert_eq!(b.start_flow(t, s), h);
+                reused += usize::from(live.iter().any(|o| o.id < h.id && o.slot > h.slot));
+                live.push(h);
+            }
+            // Advance at the burst's instant or a later one.
+            if rng.chance(0.5) {
+                t += SimDuration::from_micros(1 + rng.next_below(100_000));
+            }
+            let mut done = Vec::new();
+            for net in &mut nets {
+                net.integrate_to(t);
+                let scan = finished_by_scan(net);
+                let ids: Vec<FlowHandle> = net.advance(t).iter().map(|c| c.handle).collect();
+                assert_eq!(ids, scan, "step {step}: completions");
+                done.push(ids);
+            }
+            assert_eq!(done[0], done[1], "step {step}: dense vs incremental");
+            completions += done[0].len();
+            live.retain(|h| !done[0].contains(h));
+            let [a, b] = &mut nets;
+            assert_nets_bitwise_equal(a, b, &live, &format!("step {step}"));
+        }
+        assert!(
+            tiny > 50 && later > 100 && listed_kills > 0 && reused > 50 && completions > 300,
+            "churn too tame: {tiny} tiny, {later} later bursts, {listed_kills} listed kills, \
+             {reused} reused slots, {completions} completions"
+        );
+        // Churn overshoots finish times, so integration leaves finished
+        // flows at exactly 0. A flow that a step leaves a residue short of
+        // done (here 5e-4 bits) must also be listed.
+        let own = nets[0].add_link(100.0 * GBPS, 1e11);
+        assert_eq!(nets[1].add_link(100.0 * GBPS, 1e11), own);
+        for net in &mut nets {
+            let s = spec(net, &[own], 1e9 + 5e-4, f64::INFINITY, 0);
+            let h = net.start_flow(t, s);
+            let t = t + SimDuration::from_millis(10);
+            net.integrate_to(t);
+            let left = net.flow_remaining(h).expect("not yet removed");
+            assert!(left > 0.0 && left <= DONE_EPS_BITS, "residue {left}");
+            let scan = finished_by_scan(net);
+            assert!(scan.contains(&h), "the flow left a residue short is done");
+            let ids: Vec<FlowHandle> = net.advance(t).iter().map(|c| c.handle).collect();
+            assert_eq!(ids, scan, "residue: completions");
+        }
     }
 
     /// A handle whose flow is gone finds nothing, even when its slot

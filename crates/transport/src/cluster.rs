@@ -20,7 +20,7 @@
 //! one port's bandwidth; a single-ToR job halts.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use hpn_routing::bgp::DEFAULT_CONVERGENCE;
@@ -54,13 +54,41 @@ pub trait ClusterApp {
 /// A timer's payload. It rides in the heap entry; the entry's unique
 /// sequence number decides ties, so this order is never consulted.
 /// `MsgDone(slot)` delivers the message in `slot`: a local copy finished,
-/// or a network message's fixed latency ran out after its last bit.
+/// or a network message's fixed latency ran out after its last bit. Only
+/// local copies' `MsgDone`s enter the heap; network messages' ride a
+/// [`Lane`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Timer {
     App(u64),
     Converge { link: LinkIdx, up: bool },
     CableEvent { link: LinkIdx, up: bool },
     MsgDone(usize),
+}
+
+/// The pending `MsgDone`s of network messages with one fixed latency, as
+/// `(at, seq, slot)` in push order.
+///
+/// A network message's `MsgDone` is due `delay` after its last bit, and
+/// `delay` (`per_message + per_hop × hops`) takes a few values: one per
+/// hop count under one [`LatencyModel`]. Entries of one lane are pushed
+/// at nondecreasing `now`, so with `at = now + delay` and `seq` increasing
+/// the lane is already in `(at, seq)` order, and its front is its least
+/// entry. Merging the lane fronts with the heap top by `(at, seq)` fires
+/// every timer in the order one heap would, without a heap push and pop
+/// per message.
+#[derive(Debug)]
+struct Lane {
+    delay: SimDuration,
+    due: VecDeque<(SimTime, u64, usize)>,
+}
+
+/// Every timer pushed, and every timer fired with whether a lane held it,
+/// as `(at, seq)`: what the lane-order test compares against one heap.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct TimerLog {
+    pushed: Vec<(SimTime, u64)>,
+    fired: Vec<(SimTime, u64, bool)>,
 }
 
 /// A message in flight. It lives in one slot of [`ClusterSim`]'s message
@@ -157,9 +185,15 @@ pub struct ClusterSim {
     free_slots: Vec<usize>,
     /// The id the next message gets.
     next_msg: u64,
-    /// Pending timers, fired in `(at, seq)` order.
+    /// Pending timers other than network messages' `MsgDone`s. These and
+    /// the lanes' entries fire together in `(at, seq)` order.
     timers: BinaryHeap<Reverse<(SimTime, u64, Timer)>>,
+    /// Network messages' pending `MsgDone`s, one lane per delay.
+    lanes: Vec<Lane>,
+    /// The next timer's sequence number, shared by the heap and the lanes.
     timer_seq: u64,
+    #[cfg(test)]
+    timer_log: TimerLog,
     stats: TransportStats,
     telemetry: SharedRecorder,
 }
@@ -223,7 +257,10 @@ impl ClusterSim {
             free_slots: Vec::new(),
             next_msg: 0,
             timers: BinaryHeap::new(),
+            lanes: Vec::new(),
             timer_seq: 0,
+            #[cfg(test)]
+            timer_log: Default::default(),
             stats: TransportStats::default(),
             telemetry,
         }
@@ -283,6 +320,47 @@ impl ClusterSim {
     /// Messages currently in flight (including stalled ones).
     pub fn inflight(&self) -> usize {
         self.msgs.len() - self.free_slots.len()
+    }
+
+    /// Check that messages are conserved: every message sent has completed
+    /// or is in flight, and every message in flight is stalled (a repair
+    /// retries it), has a live flow, or has its `MsgDone` pending on the
+    /// heap or a lane. A message that breaks the second rule would never
+    /// complete, and its job would stall silently until its deadline.
+    /// Returns a description of the first violation, in send order.
+    pub fn audit_messages(&self) -> Result<(), String> {
+        let (sent, completed) = (self.next_msg, self.stats.completed);
+        let inflight = self.inflight() as u64;
+        if sent != completed + inflight {
+            return Err(format!(
+                "{sent} messages sent, but {completed} completed and {inflight} in flight"
+            ));
+        }
+        let mut pending = vec![false; self.msgs.len()];
+        let lane_slots = self.lanes.iter().flat_map(|l| l.due.iter().map(|e| e.2));
+        let heap_slots = self.timers.iter().filter_map(|Reverse((_, _, t))| match t {
+            Timer::MsgDone(slot) => Some(*slot),
+            _ => None,
+        });
+        for slot in lane_slots.chain(heap_slots) {
+            pending[slot] = true;
+        }
+        let lost = self
+            .msgs
+            .iter()
+            .zip(&pending)
+            .filter_map(|(m, &pending)| {
+                let m = m.as_ref()?;
+                let flowing = m.flow.is_some_and(|h| self.net.flow_remaining(h).is_some());
+                (!(m.stalled || flowing || pending)).then_some(m.id)
+            })
+            .min();
+        match lost {
+            Some(id) => Err(format!(
+                "message {id} is in flight with no live flow, no pending delivery and no stall"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Read a connection.
@@ -525,9 +603,49 @@ impl ClusterSim {
     }
 
     fn push_timer(&mut self, at: SimTime, t: Timer) {
+        let seq = self.next_seq();
+        #[cfg(test)]
+        self.timer_log.pushed.push((at, seq));
+        self.timers.push(Reverse((at, seq, t)));
+    }
+
+    /// Schedule the `MsgDone` of the network message in `slot`, `delay`
+    /// from now, on the lane of that delay.
+    fn push_lane(&mut self, delay: SimDuration, slot: usize) {
+        let entry = (self.now + delay, self.next_seq(), slot);
+        #[cfg(test)]
+        self.timer_log.pushed.push((entry.0, entry.1));
+        match self.lanes.iter_mut().find(|l| l.delay == delay) {
+            Some(lane) => lane.due.push_back(entry),
+            None => self.lanes.push(Lane {
+                delay,
+                due: VecDeque::from([entry]),
+            }),
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timers.push(Reverse((at, seq, t)));
+        seq
+    }
+
+    /// The least pending timer by `(at, seq)` among the heap top and the
+    /// lane fronts: its instant and sequence number, and `None` if it is
+    /// the heap's or the index of its lane.
+    fn earliest_timer(&self) -> Option<(SimTime, u64, Option<usize>)> {
+        let mut best = self
+            .timers
+            .peek()
+            .map(|&Reverse((at, seq, _))| (at, seq, None));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(at, seq, _)) = lane.due.front() {
+                if best.is_none_or(|(b_at, b_seq, _)| (at, seq) < (b_at, b_seq)) {
+                    best = Some((at, seq, Some(i)));
+                }
+            }
+        }
+        best
     }
 
     // ------------------------------------------------------------------
@@ -656,7 +774,7 @@ impl ClusterSim {
     /// The instant of the next pending event (flow completion or timer).
     fn next_event_time(&mut self) -> Option<SimTime> {
         let t_flow = self.net.next_completion();
-        let t_timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
+        let t_timer = self.earliest_timer().map(|(at, ..)| at);
         match (t_flow, t_timer) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -667,11 +785,20 @@ impl ClusterSim {
     fn process_at<A: ClusterApp>(&mut self, app: &mut A, target: SimTime) {
         self.advance_to(app, target);
         // Fire all timers due at or before `target`.
-        while let Some(&Reverse((at, _, timer))) = self.timers.peek() {
+        while let Some((at, _seq, src)) = self.earliest_timer() {
             if at > self.now {
                 break;
             }
-            self.timers.pop();
+            #[cfg(test)]
+            self.timer_log.fired.push((at, _seq, src.is_some()));
+            let timer = match src {
+                None => self.timers.pop().map(|Reverse((_, _, t))| t),
+                Some(i) => self.lanes[i]
+                    .due
+                    .pop_front()
+                    .map(|(_, _, slot)| Timer::MsgDone(slot)),
+            }
+            .expect("the earliest timer is pending");
             match timer {
                 Timer::App(tag) => app.on_timer(self, tag),
                 Timer::Converge { link, up } => self.on_converge(link, up),
@@ -736,8 +863,8 @@ impl ClusterSim {
         if m.latency == SimDuration::ZERO {
             self.complete_msg(app, slot);
         } else {
-            let at = self.now + m.latency;
-            self.push_timer(at, Timer::MsgDone(slot));
+            let delay = m.latency;
+            self.push_lane(delay, slot);
         }
     }
 
@@ -1046,6 +1173,188 @@ mod tests {
         assert!(app.done.is_empty());
         assert_eq!(cs.now(), SimTime::from_secs(1));
         assert_eq!(cs.inflight(), 1);
+    }
+
+    /// Drives a seeded mix through one runtime: from every callback it
+    /// sends network messages over groups of several hop counts and local
+    /// copies, and sets app timers now, at the next flow completion, and
+    /// one message delay after either. So heap timers and lane `MsgDone`s
+    /// fall due at the same instants with their sequence numbers in both
+    /// orders. Now and then it changes the latency model.
+    struct Mix {
+        rng: hpn_sim::Xoshiro256,
+        groups: Vec<GroupId>,
+        /// The groups' route lengths.
+        hops: Vec<u64>,
+        budget: u32,
+        latency_changes: u32,
+    }
+
+    impl Mix {
+        fn act(&mut self, cs: &mut ClusterSim) {
+            for _ in 0..1 + self.rng.next_below(3) {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                let h = self.hops[self.rng.next_below(self.hops.len() as u64) as usize];
+                let delay = cs.latency.per_message + cs.latency.per_hop.saturating_mul(h);
+                let bits = (1 + self.rng.next_below(40)) as f64 * 1e5;
+                match self.rng.next_below(9) {
+                    0..=2 => {
+                        let g = self.groups[self.rng.next_below(self.groups.len() as u64) as usize];
+                        cs.send_group(g, bits, 0);
+                    }
+                    3 => {
+                        cs.send_local(bits, 0);
+                    }
+                    4 => cs.set_timer(cs.now(), 0),
+                    5 => cs.set_timer(cs.now() + delay, 0),
+                    6 | 7 => {
+                        if let Some(t) = cs.net.next_completion() {
+                            cs.set_timer(t, 0);
+                            cs.set_timer(t + delay, 0);
+                        }
+                    }
+                    _ => {
+                        if self.rng.chance(0.2) {
+                            self.latency_changes += 1;
+                            let us = 1 + self.rng.next_below(3);
+                            cs.latency = LatencyModel {
+                                per_hop: SimDuration::from_micros(us),
+                                per_message: SimDuration::from_micros(10 * us),
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    impl ClusterApp for Mix {
+        fn on_message_complete(&mut self, cs: &mut ClusterSim, _: MessageDone) {
+            self.act(cs);
+        }
+        fn on_timer(&mut self, cs: &mut ClusterSim, _: u64) {
+            self.act(cs);
+        }
+    }
+
+    /// Heap timers and lane `MsgDone`s fire in the order one heap ordered
+    /// by `(at, seq)` would fire them: every timer pushed by the end,
+    /// sorted. The mix makes heap and lane entries (and entries of two
+    /// lanes) fall due at one instant in both sequence orders, so a merge
+    /// that broke ties any other way would reorder some pair.
+    #[test]
+    fn lanes_and_heap_fire_in_single_heap_order() {
+        let mut cs = sim();
+        // Pairs under one ToR, across segments, across rails and within
+        // a host: routes of several lengths.
+        let pairs = [
+            ((0, 0), (1, 0)),
+            ((0, 0), (5, 0)),
+            ((2, 1), (6, 1)),
+            ((1, 0), (3, 1)),
+            ((0, 0), (0, 1)),
+        ];
+        let mut groups = Vec::new();
+        let mut hops: Vec<u64> = Vec::new();
+        for (i, &(src, dst)) in pairs.iter().enumerate() {
+            let g = cs.establish_group(src, dst, 1, PathPolicy::Single, 49152 + i as u16);
+            hops.push(cs.conn(cs.group(g).conns[0]).route.links.len() as u64);
+            groups.push(g);
+        }
+        hops.sort_unstable();
+        hops.dedup();
+        assert!(hops.len() >= 3, "routes of too few lengths: {hops:?}");
+        let mut app = Mix {
+            rng: hpn_sim::Xoshiro256::seed_from_u64(0x1a7e),
+            groups,
+            hops: hops.clone(),
+            budget: 4000,
+            latency_changes: 0,
+        };
+        for _ in 0..8 {
+            app.act(&mut cs);
+        }
+        let mut deadline = SimTime::ZERO;
+        while app.budget > 0 || cs.inflight() > 0 {
+            deadline += SimDuration::from_millis(1);
+            cs.run(&mut app, deadline);
+            assert!(deadline < SimTime::from_secs(10), "the mix never drains");
+        }
+        let TimerLog { pushed, fired } = &cs.timer_log;
+        let mut reference: Vec<(SimTime, u64)> = pushed
+            .iter()
+            .copied()
+            .filter(|&(at, _)| at <= cs.now())
+            .collect();
+        reference.sort_unstable();
+        let order: Vec<(SimTime, u64)> = fired.iter().map(|&(at, seq, _)| (at, seq)).collect();
+        assert_eq!(order, reference, "firing order");
+        // The ties the merge must break: same instant, heap and lane (and
+        // lane and lane) next to each other, lower sequence number first.
+        let (mut lane_heap, mut heap_lane) = (0, 0);
+        for w in fired.windows(2) {
+            if w[0].0 == w[1].0 {
+                match (w[0].2, w[1].2) {
+                    (true, false) => lane_heap += 1,
+                    (false, true) => heap_lane += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            lane_heap >= 10 && heap_lane >= 10,
+            "too few ties: lane then heap {lane_heap}, heap then lane {heap_lane}"
+        );
+        assert!(app.latency_changes > 3, "latency never changed");
+        assert!(cs.lanes.len() > hops.len(), "lanes: {}", cs.lanes.len());
+        assert!(
+            cs.lanes.iter().all(|l| l.due.is_empty()) && cs.timers.is_empty(),
+            "timers left pending"
+        );
+        cs.audit_messages().expect("messages are conserved");
+    }
+
+    /// The audit passes while every message in flight has a way to
+    /// complete, and names the message that lost its flow or its pending
+    /// delivery.
+    #[test]
+    fn audit_flags_a_message_nothing_will_deliver() {
+        let mut cs = sim();
+        let mut app = Recorder::default();
+        let g = cs.establish_group((0, 0), (1, 0), 1, PathPolicy::Single, 49152);
+        let long = cs.send_group(g, 10.0 * GB, 0);
+        let short = cs.send_group(g, 1e6, 1);
+        cs.send_local(1e6, 2);
+        assert_eq!(cs.audit_messages(), Ok(()));
+        // The short message leaves the wire; its delivery waits on a lane.
+        let t = cs.net.next_completion().expect("flows progress");
+        cs.run(&mut app, t);
+        assert!(msg(&cs, short).flow.is_none() && app.done.is_empty());
+        assert_eq!(cs.audit_messages(), Ok(()));
+        // A lane that loses the entry strands the message.
+        let lanes = std::mem::take(&mut cs.lanes);
+        let err = cs.audit_messages().expect_err("no flow, no timer");
+        assert!(err.contains(&format!("message {short} ")), "{err}");
+        cs.lanes = lanes;
+        // So does a flow killed behind the runtime's back.
+        let h = msg(&cs, long)
+            .flow
+            .expect("the long message is on the wire");
+        assert!(cs.net.kill_flow(cs.now(), h));
+        let err = cs.audit_messages().expect_err("no flow, no timer");
+        assert!(err.contains(&format!("message {long} ")), "{err}");
+        // And a completion counted twice breaks sent = completed + in flight.
+        let mut cs = sim();
+        cs.send_local(1e6, 0);
+        cs.stats.completed += 1;
+        let err = cs.audit_messages().expect_err("counts disagree");
+        assert!(
+            err.contains("1 messages sent, but 1 completed and 1 in flight"),
+            "{err}"
+        );
     }
 
     #[test]
